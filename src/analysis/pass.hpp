@@ -15,23 +15,23 @@
 
 #include "src/analysis/diagnostic.hpp"
 #include "src/hecnn/plan.hpp"
+#include "src/hecnn/plan_interp.hpp"
 
 namespace fxhenn::analysis {
 
 /**
  * Precomputed facts shared by the passes, derived once per run.
  *
- * The abstract prime chain replays the exact primes a CkksContext
- * would generate for plan.params, so the scale/level abstract
- * interpretation predicts the evaluator's double arithmetic
+ * The interpreter domain holds the exact primes a CkksContext would
+ * generate for plan.params, so the passes that replay the plan
+ * (hecnn::interpretPlan) predict the evaluator's double arithmetic
  * bit-for-bit without ever building NTT tables or keys.
  */
 struct PlanFacts
 {
     const hecnn::HeNetworkPlan &plan;
-    std::size_t slots = 0;          ///< params.n / 2
-    std::vector<double> primes;     ///< q_0..q_{L-1} (empty: params bad)
-    double schemeScale = 0.0;       ///< encoding scale Delta
+    std::size_t slots = 0;       ///< params.n / 2
+    hecnn::InterpDomain domain{}; ///< scale + prime chain (params valid)
     bool paramsValid = false;
 
     /** @return true when @p reg indexes the plan's register file. */

@@ -23,12 +23,12 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 
 #include "src/analysis/liveness.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/rotation_groups.hpp"
-#include "src/modarith/primes.hpp"
 
 namespace fxhenn::analysis {
 
@@ -36,20 +36,15 @@ using hecnn::HeInstr;
 using hecnn::HeLayerPlan;
 using hecnn::HeNetworkPlan;
 using hecnn::HeOpKind;
+using hecnn::RegShape;
 
 PlanFacts
 makePlanFacts(const HeNetworkPlan &plan)
 {
     PlanFacts facts{plan};
     facts.slots = static_cast<std::size_t>(plan.params.n / 2);
-    facts.schemeScale = plan.params.scale;
     try {
-        plan.params.validate();
-        const auto primes = generateNttPrimes(
-            plan.params.qBits, plan.params.n, plan.params.levels);
-        facts.primes.reserve(primes.size());
-        for (std::uint64_t q : primes)
-            facts.primes.push_back(static_cast<double>(q));
+        facts.domain = hecnn::interpDomain(plan.params);
         facts.paramsValid = true;
     } catch (const std::exception &) {
         // Diagnosed by the passes that need the prime chain.
@@ -177,54 +172,60 @@ class ScaleLevelPass final : public AnalysisPass
         // log2 of the modulus at each level (prefix products).
         std::vector<double> log_q(plan.params.levels + 1, 0.0);
         for (std::size_t l = 1; l <= plan.params.levels; ++l)
-            log_q[l] = log_q[l - 1] + std::log2(facts.primes[l - 1]);
+            log_q[l] = log_q[l - 1] +
+                       std::log2(static_cast<double>(
+                           facts.domain.primes[l - 1]));
 
-        struct RegState
-        {
-            bool written = false;
-            std::size_t level = 0;
-            double scale = 0.0;
-            std::size_t parts = 2;
-        };
-        std::vector<RegState> regs(
-            static_cast<std::size_t>(std::max(plan.regCount, 0)));
-        for (std::size_t i = 0;
-             i < plan.inputGather.size() && i < regs.size(); ++i) {
-            regs[i] = {true, plan.params.levels, facts.schemeScale, 2};
-        }
-
-        for (std::size_t li = 0; li < plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = plan.layers[li];
+        for (std::size_t li = 0; li < plan.layers.size(); ++li)
             checkLevelChain(facts, li, report);
-            for (std::size_t ii = 0; ii < layer.instrs.size(); ++ii) {
-                const HeInstr &instr = layer.instrs[ii];
-                if (!facts.regOk(instr.dst) || !facts.regOk(instr.src))
-                    continue; // def-use reports the range violation
-                RegState &src =
-                    regs[static_cast<std::size_t>(instr.src)];
-                RegState &dst =
-                    regs[static_cast<std::size_t>(instr.dst)];
-                if (!src.written)
-                    continue; // def-use reports the uninitialized read
-                checkInstr(facts, li, ii, instr, src, dst, log_q,
-                           report);
-                apply(facts, instr, src, dst);
+
+        struct Visitor
+        {
+            const ScaleLevelPass &pass;
+            const PlanFacts &facts;
+            const std::vector<double> &log_q;
+            AnalysisReport &report;
+
+            bool
+            step(const hecnn::InterpStep &s,
+                 std::span<const RegShape> regs)
+            {
+                // def-use reports range violations and reads of
+                // unwritten registers.
+                if (!s.fault)
+                    pass.checkInstr(facts, s, regs, log_q, report);
+                return true;
             }
-            checkLayerExit(facts, li, regs, report);
-        }
+
+            bool
+            layerEnd(std::size_t li, std::span<const RegShape> regs)
+            {
+                pass.checkLayerExit(facts, li, regs, report);
+                return true;
+            }
+        };
+        hecnn::interpretPlan(plan, facts.domain,
+                             Visitor{*this, facts, log_q, report});
     }
 
   private:
-    template <typename RegState>
     void
-    checkInstr(const PlanFacts &facts, std::size_t li, std::size_t ii,
-               const HeInstr &instr, const RegState &src,
-               const RegState &dst,
+    checkInstr(const PlanFacts &facts, const hecnn::InterpStep &s,
+               std::span<const RegShape> regs,
                const std::vector<double> &log_q,
                AnalysisReport &report) const
     {
         const HeNetworkPlan &plan = facts.plan;
+        const std::size_t li = s.layer;
+        const std::size_t ii = s.index;
+        const HeInstr &instr = s.instr;
+        const RegShape &src = regs[static_cast<std::size_t>(instr.src)];
+        const RegShape &dst = regs[static_cast<std::size_t>(instr.dst)];
         const std::string &lname = plan.layers[li].name;
+        // The scale a multiply produces, checked against the modulus.
+        auto productScale = [&] {
+            return hecnn::transfer(instr, src, dst, facts.domain).scale;
+        };
         switch (instr.kind) {
           case HeOpKind::pcMult: {
             if (!facts.ptOk(instr.pt))
@@ -242,8 +243,7 @@ class ScaleLevelPass final : public AnalysisPass
                     "re-encode the plaintext at level " +
                         std::to_string(src.level));
             }
-            checkScaleFits(li, ii, lname,
-                           src.scale * facts.schemeScale, src.level,
+            checkScaleFits(li, ii, lname, productScale(), src.level,
                            log_q, report);
             break;
           }
@@ -265,8 +265,6 @@ class ScaleLevelPass final : public AnalysisPass
             break;
           }
           case HeOpKind::ccAdd: {
-            if (!dst.written)
-                break; // def-use reports it
             if (dst.level != src.level) {
                 report.addInstr(
                     Severity::error, name(), li, lname, ii,
@@ -284,7 +282,7 @@ class ScaleLevelPass final : public AnalysisPass
                         regName(instr.src) + " has " +
                         std::to_string(src.parts),
                     "relinearize the 3-part operand first");
-            } else if (scaleMismatch(dst.scale, src.scale)) {
+            } else if (!hecnn::scalesAgree(dst.scale, src.scale)) {
                 report.addInstr(
                     Severity::error, name(), li, lname, ii,
                     "ccAdd scale mismatch: " + regName(instr.dst) +
@@ -305,8 +303,8 @@ class ScaleLevelPass final : public AnalysisPass
                                     std::to_string(src.parts),
                                 "relinearize before multiplying");
             }
-            checkScaleFits(li, ii, lname, src.scale * src.scale,
-                           src.level, log_q, report);
+            checkScaleFits(li, ii, lname, productScale(), src.level,
+                           log_q, report);
             break;
           case HeOpKind::relinearize:
             if (src.parts != 3) {
@@ -326,8 +324,7 @@ class ScaleLevelPass final : public AnalysisPass
                         " has no prime left to drop",
                     "deepen the parameter set or shorten the "
                     "network");
-            } else if (src.scale <
-                       facts.schemeScale * 2.0) {
+            } else if (src.scale < facts.domain.scale * 2.0) {
                 report.addInstr(
                     Severity::error, name(), li, lname, ii,
                     "double rescale: " + regName(instr.src) +
@@ -410,10 +407,9 @@ class ScaleLevelPass final : public AnalysisPass
         }
     }
 
-    template <typename RegStateVec>
     void
     checkLayerExit(const PlanFacts &facts, std::size_t li,
-                   const RegStateVec &regs,
+                   std::span<const RegShape> regs,
                    AnalysisReport &report) const
     {
         const HeLayerPlan &layer = facts.plan.layers[li];
@@ -438,56 +434,6 @@ class ScaleLevelPass final : public AnalysisPass
                 return; // one metadata finding per layer is enough
             }
         }
-    }
-
-    template <typename RegState>
-    void
-    apply(const PlanFacts &facts, const HeInstr &instr,
-          const RegState &src_in, RegState &dst) const
-    {
-        const RegState src = src_in; // dst may alias src
-        switch (instr.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * facts.schemeScale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break;
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            dst.parts = 3;
-            break;
-          case HeOpKind::relinearize:
-            dst = src;
-            dst.parts = 2;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale =
-                    src.scale / facts.primes[src.level - 1];
-                dst.level = src.level - 1;
-            }
-            break;
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
-        }
-        dst.written = true;
-    }
-
-    static bool
-    scaleMismatch(double a, double b)
-    {
-        if (!(a > 0.0) || !(b > 0.0))
-            return true;
-        const double ratio = a / b;
-        return ratio < 0.99 || ratio > 1.01;
     }
 
     static std::string
@@ -988,34 +934,36 @@ class RescalePlacementPass final : public AnalysisPass
         if (!facts.paramsValid)
             return; // scale-level reports the broken prime chain
 
-        struct St
+        // Side table next to the interpreted shapes: who wrote each
+        // register last, and whether anything read it since.
+        struct Writer
         {
-            bool written = false;
-            std::size_t level = 0;
-            double scale = 0.0;
-            HeOpKind lastWriter = HeOpKind::copy;
-            std::size_t lastWriterInstr = 0;
+            HeOpKind kind = HeOpKind::copy;
+            std::size_t instr = 0;
             bool readSinceWrite = false;
         };
-        std::vector<St> regs(
-            static_cast<std::size_t>(std::max(plan.regCount, 0)));
-        for (std::size_t i = 0;
-             i < plan.inputGather.size() && i < regs.size(); ++i)
-            regs[i] = {true, plan.params.levels, facts.schemeScale,
-                       HeOpKind::copy, 0, false};
-
-        for (std::size_t li = 0; li < plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = plan.layers[li];
+        struct Visitor
+        {
+            const RescalePlacementPass &pass;
+            const PlanFacts &facts;
+            AnalysisReport &report;
+            std::vector<Writer> writers;
             std::size_t deferrable = 0;
-            for (std::size_t ii = 0; ii < layer.instrs.size(); ++ii) {
-                const HeInstr &instr = layer.instrs[ii];
-                if (!facts.regOk(instr.dst) ||
-                    !facts.regOk(instr.src))
-                    continue; // def-use reports it
-                St &src = regs[static_cast<std::size_t>(instr.src)];
-                St &dst = regs[static_cast<std::size_t>(instr.dst)];
-                if (!src.written)
-                    continue; // def-use reports it
+
+            bool
+            step(const hecnn::InterpStep &s,
+                 std::span<const RegShape> regs)
+            {
+                if (s.fault)
+                    return true; // def-use reports it
+                const HeInstr &instr = s.instr;
+                const auto src_r = static_cast<std::size_t>(instr.src);
+                const auto dst_r = static_cast<std::size_t>(instr.dst);
+                const RegShape &src = regs[src_r];
+                const RegShape &dst = regs[dst_r];
+                const std::string &lname =
+                    facts.plan.layers[s.layer].name;
+                const double delta = facts.domain.scale;
 
                 // Missing rescale: an operand still carrying a full
                 // multiply's scale growth is about to be multiplied
@@ -1023,10 +971,10 @@ class RescalePlacementPass final : public AnalysisPass
                 // whole scale factor.
                 if ((instr.kind == HeOpKind::pcMult ||
                      instr.kind == HeOpKind::ccMult) &&
-                    src.scale >=
-                        facts.schemeScale * facts.schemeScale * 0.5) {
+                    src.scale >= delta * delta * 0.5) {
                     report.addInstr(
-                        Severity::warning, name(), li, layer.name, ii,
+                        Severity::warning, pass.name(), s.layer, lname,
+                        s.index,
                         "missing rescale: operand " +
                             regName(instr.src) + " at scale 2^" +
                             fmtBits(std::log2(src.scale)) +
@@ -1039,11 +987,11 @@ class RescalePlacementPass final : public AnalysisPass
                 // Deferrable rescale: both operands of an aligned add
                 // were produced directly by rescales — sinking the
                 // rescale below the add saves one NTT-heavy op.
-                if (instr.kind == HeOpKind::ccAdd && dst.written &&
-                    dst.lastWriter == HeOpKind::rescale &&
-                    src.lastWriter == HeOpKind::rescale &&
+                if (instr.kind == HeOpKind::ccAdd &&
+                    writers[dst_r].kind == HeOpKind::rescale &&
+                    writers[src_r].kind == HeOpKind::rescale &&
                     dst.level == src.level &&
-                    scalesClose(dst.scale, src.scale))
+                    hecnn::scalesAgree(dst.scale, src.scale))
                     ++deferrable;
 
                 // Redundant rescale: the value a pure overwrite
@@ -1052,34 +1000,48 @@ class RescalePlacementPass final : public AnalysisPass
                     instr.kind != HeOpKind::ccAdd &&
                     instr.dst != instr.src;
                 if (pure_overwrite && dst.written &&
-                    dst.lastWriter == HeOpKind::rescale &&
-                    !dst.readSinceWrite) {
+                    writers[dst_r].kind == HeOpKind::rescale &&
+                    !writers[dst_r].readSinceWrite) {
                     report.addInstr(
-                        Severity::warning, name(), li, layer.name,
-                        dst.lastWriterInstr,
+                        Severity::warning, pass.name(), s.layer, lname,
+                        writers[dst_r].instr,
                         "redundant rescale: the result in " +
                             regName(instr.dst) +
                             " is overwritten before any use",
                         "delete the rescale or consume its result");
                 }
 
-                src.readSinceWrite = true;
-                if (instr.kind == HeOpKind::ccAdd)
-                    dst.readSinceWrite = true;
-                apply(facts, instr, src, dst, ii);
+                writers[src_r].readSinceWrite = true;
+                writers[dst_r] = {instr.kind, s.index, false};
+                return true;
             }
-            if (deferrable > 0) {
-                report.addLayer(
-                    Severity::note, name(), li, layer.name,
-                    std::to_string(deferrable) +
-                        " addition(s) consume freshly rescaled "
-                        "operands; deferring those rescales past the "
-                        "adds would eliminate up to " +
-                        std::to_string(deferrable) + " rescale op(s)",
-                    "enable CompileOptions::rescaleWaterline for the "
-                    "certified rewrite");
+
+            bool
+            layerEnd(std::size_t li, std::span<const RegShape>)
+            {
+                if (deferrable > 0) {
+                    report.addLayer(
+                        Severity::note, pass.name(), li,
+                        facts.plan.layers[li].name,
+                        std::to_string(deferrable) +
+                            " addition(s) consume freshly rescaled "
+                            "operands; deferring those rescales past "
+                            "the adds would eliminate up to " +
+                            std::to_string(deferrable) +
+                            " rescale op(s)",
+                        "enable CompileOptions::rescaleWaterline for "
+                        "the certified rewrite");
+                }
+                deferrable = 0;
+                return true;
             }
-        }
+        };
+        hecnn::interpretPlan(
+            plan, facts.domain,
+            Visitor{*this, facts, report,
+                    std::vector<Writer>(static_cast<std::size_t>(
+                        std::max(plan.regCount, 0))),
+                    0});
 
         // Wasted levels: a chain deeper than the network consumes.
         if (!plan.layers.empty()) {
@@ -1099,54 +1061,6 @@ class RescalePlacementPass final : public AnalysisPass
     }
 
   private:
-    template <typename St>
-    void
-    apply(const PlanFacts &facts, const HeInstr &instr,
-          const St &src_in, St &dst, std::size_t ii) const
-    {
-        const St src = src_in; // dst may alias src
-        switch (instr.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * facts.schemeScale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break; // dst shape unchanged
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            break;
-          case HeOpKind::relinearize:
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale = src.scale / facts.primes[src.level - 1];
-                dst.level = src.level - 1;
-            }
-            break;
-        }
-        dst.written = true;
-        dst.lastWriter = instr.kind;
-        dst.lastWriterInstr = ii;
-        dst.readSinceWrite = false;
-    }
-
-    static bool
-    scalesClose(double a, double b)
-    {
-        if (!(a > 0.0) || !(b > 0.0))
-            return false;
-        const double ratio = a / b;
-        return ratio > 0.99 && ratio < 1.01;
-    }
-
     static std::string
     fmtBits(double v)
     {

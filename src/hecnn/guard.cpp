@@ -1,9 +1,10 @@
 #include "src/hecnn/guard.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "src/common/assert.hpp"
+#include "src/hecnn/noise_cert.hpp"
 
 namespace fxhenn::hecnn {
 
@@ -18,59 +19,22 @@ fmtBits(double v)
     return oss.str();
 }
 
-} // namespace
-
-RuntimeGuard::RuntimeGuard(const HeNetworkPlan &plan,
-                           const ckks::CkksContext &context,
-                           robustness::GuardOptions options)
-    : plan_(plan), context_(context), options_(options)
-{
-    CertifyOptions copts;
-    copts.messageBits = options_.messageBits;
-    cert_ = certifyPlan(plan_, copts);
-}
-
-void
-RuntimeGuard::beginInfer()
-{
-    regs_.assign(static_cast<std::size_t>(plan_.regCount), RegState{});
-    trajectory_.clear();
-    for (std::size_t i = 0; i < plan_.inputGather.size(); ++i) {
-        RegState &s = regs_[i];
-        s.written = true;
-        s.level = context_.maxLevel();
-        s.scale = context_.params().scale;
-        s.parts = 2;
-    }
-}
-
+/** The violation @p instr raises against the shapes it reads. */
 std::optional<std::string>
-RuntimeGuard::preCheck(const HeInstr &instr) const
+instrFinding(const HeNetworkPlan &plan, const HeInstr &instr,
+             std::span<const RegShape> regs)
 {
-    const auto regCount = static_cast<std::int32_t>(regs_.size());
-    auto bad = [&](std::int32_t id) {
-        return id < 0 || id >= regCount;
-    };
-    if (bad(instr.dst) || bad(instr.src))
-        return "instruction register out of range (dst r" +
-               std::to_string(instr.dst) + ", src r" +
-               std::to_string(instr.src) + ")";
-    const RegState &src = regs_[static_cast<std::size_t>(instr.src)];
-    if (!src.written)
-        return "read of unwritten register r" +
-               std::to_string(instr.src);
-
+    const RegShape &src = regs[static_cast<std::size_t>(instr.src)];
     switch (instr.kind) {
       case HeOpKind::pcMult:
       case HeOpKind::pcAdd: {
         if (instr.pt < 0 ||
-            instr.pt >= static_cast<std::int32_t>(
-                            plan_.plaintexts.size()))
+            instr.pt >= static_cast<std::int32_t>(plan.plaintexts.size()))
             return "plaintext index out of range (pt " +
                    std::to_string(instr.pt) + ")";
         if (instr.kind == HeOpKind::pcMult) {
             const auto &pt =
-                plan_.plaintexts[static_cast<std::size_t>(instr.pt)];
+                plan.plaintexts[static_cast<std::size_t>(instr.pt)];
             if (pt.level != src.level)
                 return "plaintext level " + std::to_string(pt.level) +
                        " does not match ciphertext level " +
@@ -80,24 +44,17 @@ RuntimeGuard::preCheck(const HeInstr &instr) const
         break;
       }
       case HeOpKind::ccAdd: {
-        const RegState &dst =
-            regs_[static_cast<std::size_t>(instr.dst)];
-        if (!dst.written)
-            return "read of unwritten register r" +
-                   std::to_string(instr.dst);
+        const RegShape &dst = regs[static_cast<std::size_t>(instr.dst)];
         if (dst.level != src.level)
-            return "ccAdd level mismatch: r" +
-                   std::to_string(instr.dst) + " at level " +
-                   std::to_string(dst.level) + ", r" +
+            return "ccAdd level mismatch: r" + std::to_string(instr.dst) +
+                   " at level " + std::to_string(dst.level) + ", r" +
                    std::to_string(instr.src) + " at level " +
                    std::to_string(src.level);
         if (dst.parts != src.parts)
             return "ccAdd part-count mismatch";
-        const double ratio = dst.scale / src.scale;
-        if (ratio < 0.99 || ratio > 1.01)
-            return "ccAdd scale mismatch: r" +
-                   std::to_string(instr.dst) + " at 2^" +
-                   fmtBits(std::log2(dst.scale)) + ", r" +
+        if (!scalesAgree(dst.scale, src.scale))
+            return "ccAdd scale mismatch: r" + std::to_string(instr.dst) +
+                   " at 2^" + fmtBits(std::log2(dst.scale)) + ", r" +
                    std::to_string(instr.src) + " at 2^" +
                    fmtBits(std::log2(src.scale));
         break;
@@ -129,160 +86,132 @@ RuntimeGuard::preCheck(const HeInstr &instr) const
     return std::nullopt;
 }
 
-void
-RuntimeGuard::apply(const HeInstr &instr)
-{
-    const auto regCount = static_cast<std::int32_t>(regs_.size());
-    if (instr.dst < 0 || instr.dst >= regCount || instr.src < 0 ||
-        instr.src >= regCount)
-        return; // preCheck already reported; keep the tracker alive
-    const RegState src = regs_[static_cast<std::size_t>(instr.src)];
-    RegState &dst = regs_[static_cast<std::size_t>(instr.dst)];
+} // namespace
 
-    // Replays the evaluator's own double arithmetic so healthy runs
-    // predict the ciphertext scale tags bit-for-bit.
-    switch (instr.kind) {
-      case HeOpKind::pcMult:
-        dst = src;
-        dst.scale = src.scale * context_.params().scale;
-        break;
-      case HeOpKind::pcAdd:
-        dst = src; // bias encodes at the ciphertext's current scale
-        break;
-      case HeOpKind::ccAdd:
-        break; // dst shape unchanged
-      case HeOpKind::ccMult:
-        dst = src;
-        dst.scale = src.scale * src.scale;
-        dst.parts = 3;
-        break;
-      case HeOpKind::relinearize:
-        dst = src;
-        dst.parts = 2;
-        break;
-      case HeOpKind::rescale:
-        dst = src;
-        if (src.level >= 2) {
-            dst.scale = src.scale /
-                        static_cast<double>(
-                            context_.basis().q(src.level - 1).value());
-            dst.level = src.level - 1;
+RuntimeGuard::RuntimeGuard(const HeNetworkPlan &plan,
+                           const ckks::CkksContext &context,
+                           robustness::GuardOptions options)
+    : options_(options), layers_(plan.layers.size())
+{
+    CertifyOptions copts;
+    copts.messageBits = options_.messageBits;
+    const NoiseCertificate cert = certifyPlan(plan, copts);
+
+    struct Predictor
+    {
+        const HeNetworkPlan &plan;
+        const ckks::CkksContext &context;
+        const NoiseCertificate &cert;
+        RuntimeGuard &guard;
+
+        bool
+        step(const InterpStep &s, std::span<const RegShape> regs)
+        {
+            auto reason = s.fault ? s.fault
+                                  : instrFinding(plan, s.instr, regs);
+            if (reason)
+                guard.layers_[s.layer].findings.push_back(
+                    {s.index, opName(s.instr.kind), std::move(*reason)});
+            return true;
         }
-        break;
-      case HeOpKind::rotate:
-      case HeOpKind::copy:
-        dst = src;
-        break;
-    }
-    dst.written = true;
+
+        bool
+        layerEnd(std::size_t li, std::span<const RegShape> regs)
+        {
+            const HeLayerPlan &layer = plan.layers[li];
+            LayerPrediction &pred = guard.layers_[li];
+            pred.shapes.assign(regs.begin(), regs.end());
+
+            std::optional<std::string> metadata;
+            double max_scale = 0.0;
+            for (const std::int32_t r : layerOutputRegs(layer, regs)) {
+                if (r < 0 || r >= static_cast<std::int32_t>(regs.size()))
+                    continue;
+                const RegShape &shape = regs[static_cast<std::size_t>(r)];
+                if (!shape.written) {
+                    if (!metadata)
+                        metadata = "plan output register r" +
+                                   std::to_string(r) +
+                                   " was never written";
+                    continue;
+                }
+                max_scale = std::max(max_scale, shape.scale);
+                if (shape.level != layer.levelOut && !metadata)
+                    metadata = "plan metadata mismatch: r" +
+                               std::to_string(r) + " predicted at level " +
+                               std::to_string(shape.level) +
+                               " but the plan says levelOut " +
+                               std::to_string(layer.levelOut);
+            }
+
+            robustness::BudgetSample sample;
+            sample.layer = layer.name;
+            sample.level = layer.levelOut;
+            sample.scaleBits =
+                max_scale > 0.0 ? std::log2(max_scale) : 0.0;
+            // Prefer the statically certified per-layer bound (which
+            // accounts for accumulated crypto noise, not just the
+            // message magnitude); an invalid certificate falls back to
+            // the noise-free formula.
+            if (cert.valid && li < cert.layers.size() &&
+                cert.layers[li].layer == layer.name) {
+                sample.noiseBits = cert.layers[li].noiseBits;
+                sample.headroomBits = cert.layers[li].headroomBits;
+            } else {
+                sample.headroomBits =
+                    (context.basis().logQ(layer.levelOut) - 1.0) -
+                    sample.scaleBits - guard.options_.messageBits;
+            }
+
+            if (metadata)
+                pred.endFinding = std::move(metadata);
+            else if (sample.headroomBits < 0.0)
+                pred.endFinding =
+                    "predicted noise budget exhausted after layer " +
+                    layer.name + ": certified headroom " +
+                    fmtBits(sample.headroomBits) +
+                    " bits (the message no longer fits the modulus "
+                    "and decryption would be garbage)";
+            guard.budget_.push_back(std::move(sample));
+            return true;
+        }
+    };
+    interpretPlan(plan, interpDomain(context.params()),
+                  Predictor{plan, context, cert, *this});
 }
 
 std::optional<std::string>
 RuntimeGuard::checkLayerEnd(
-    const HeLayerPlan &layer,
-    std::span<const std::optional<ckks::Ciphertext>> regs)
+    std::size_t layer,
+    std::span<const std::optional<ckks::Ciphertext>> regs) const
 {
-    // 1. Predicted-vs-actual divergence over every tracked register.
-    //    The prediction replays the evaluator's arithmetic exactly, so
-    //    any mismatch means the executed ops differ from the plan
-    //    (dropped rescale, perturbed scale, corrupted state).
-    std::optional<std::string> divergence;
-    for (std::size_t i = 0; i < regs_.size() && !divergence; ++i) {
-        const RegState &pred = regs_[i];
+    // The prediction replays the evaluator's arithmetic exactly, so
+    // any mismatch means the executed ops differ from the plan
+    // (dropped rescale, perturbed scale, corrupted state).
+    const LayerPrediction &layerPred = layers_[layer];
+    for (std::size_t i = 0; i < layerPred.shapes.size(); ++i) {
+        const RegShape &pred = layerPred.shapes[i];
         if (!pred.written)
             continue;
         const auto &actual = regs[i];
-        if (!actual.has_value()) {
-            divergence = "register r" + std::to_string(i) +
-                         " predicted written but holds no ciphertext";
-            break;
-        }
-        if (actual->level() != pred.level) {
-            divergence =
-                "level diverged at r" + std::to_string(i) +
-                ": predicted " + std::to_string(pred.level) +
-                ", actual " + std::to_string(actual->level()) +
-                " (rescale dropped or misapplied?)";
-            break;
-        }
-        if (actual->size() != pred.parts) {
-            divergence = "part count diverged at r" +
-                         std::to_string(i);
-            break;
-        }
-        const double rel =
-            std::abs(actual->scale - pred.scale) /
-            std::max(std::abs(pred.scale), 1e-300);
-        if (rel > options_.scaleRelTolerance) {
-            divergence = "scale diverged at r" + std::to_string(i) +
-                         ": predicted 2^" +
-                         fmtBits(std::log2(pred.scale)) +
-                         ", actual 2^" +
-                         fmtBits(std::log2(actual->scale));
-        }
+        if (!actual.has_value())
+            return "register r" + std::to_string(i) +
+                   " predicted written but holds no ciphertext";
+        if (actual->level() != pred.level)
+            return "level diverged at r" + std::to_string(i) +
+                   ": predicted " + std::to_string(pred.level) +
+                   ", actual " + std::to_string(actual->level()) +
+                   " (rescale dropped or misapplied?)";
+        if (actual->size() != pred.parts)
+            return "part count diverged at r" + std::to_string(i);
+        const double rel = std::abs(actual->scale - pred.scale) /
+                           std::max(std::abs(pred.scale), 1e-300);
+        if (rel > options_.scaleRelTolerance)
+            return "scale diverged at r" + std::to_string(i) +
+                   ": predicted 2^" + fmtBits(std::log2(pred.scale)) +
+                   ", actual 2^" + fmtBits(std::log2(actual->scale));
     }
-
-    // 2. Plan metadata consistency + this layer's budget sample.
-    std::optional<std::string> metadata;
-    const std::vector<std::int32_t> *out_regs = &layer.outputLayout.regs;
-    std::vector<std::int32_t> fallback;
-    if (out_regs->empty()) {
-        for (std::size_t i = 0; i < regs_.size(); ++i) {
-            if (regs_[i].written)
-                fallback.push_back(static_cast<std::int32_t>(i));
-        }
-        out_regs = &fallback;
-    }
-    double max_scale = 0.0;
-    for (std::int32_t r : *out_regs) {
-        if (r < 0 || r >= static_cast<std::int32_t>(regs_.size()))
-            continue;
-        const RegState &pred = regs_[static_cast<std::size_t>(r)];
-        if (!pred.written) {
-            if (!metadata)
-                metadata = "plan output register r" +
-                           std::to_string(r) + " was never written";
-            continue;
-        }
-        max_scale = std::max(max_scale, pred.scale);
-        if (pred.level != layer.levelOut && !metadata)
-            metadata = "plan metadata mismatch: r" +
-                       std::to_string(r) + " predicted at level " +
-                       std::to_string(pred.level) +
-                       " but the plan says levelOut " +
-                       std::to_string(layer.levelOut);
-    }
-
-    robustness::BudgetSample sample;
-    sample.layer = layer.name;
-    sample.level = layer.levelOut;
-    sample.scaleBits = max_scale > 0.0 ? std::log2(max_scale) : 0.0;
-    // Prefer the statically certified per-layer bound (which accounts
-    // for accumulated crypto noise, not just the message magnitude);
-    // an invalid certificate falls back to the noise-free formula.
-    const std::size_t idx = trajectory_.size();
-    if (cert_.valid && idx < cert_.layers.size() &&
-        cert_.layers[idx].layer == layer.name) {
-        sample.noiseBits = cert_.layers[idx].noiseBits;
-        sample.headroomBits = cert_.layers[idx].headroomBits;
-    } else {
-        sample.headroomBits =
-            (context_.basis().logQ(layer.levelOut) - 1.0) -
-            sample.scaleBits - options_.messageBits;
-    }
-    trajectory_.push_back(sample);
-
-    if (divergence)
-        return divergence;
-    if (metadata)
-        return metadata;
-    if (sample.headroomBits < 0.0)
-        return "predicted noise budget exhausted after layer " +
-               layer.name + ": certified headroom " +
-               fmtBits(sample.headroomBits) +
-               " bits (the message no longer fits the modulus and "
-               "decryption would be garbage)";
-    return std::nullopt;
+    return layerPred.endFinding;
 }
 
 } // namespace fxhenn::hecnn

@@ -1,13 +1,21 @@
 /**
  * @file
- * Plan-aware runtime guard: statically simulates the (level, scale,
- * parts) state of every register as the Runtime executes a plan, using
- * the exact double arithmetic the evaluator applies. On a healthy run
- * the prediction matches the ciphertext tags bit-for-bit; a dropped
- * rescale, perturbed scale or corrupted plan shows up as divergence at
- * the next layer boundary. The guard also tracks the predicted
- * noise-budget headroom per layer and flags exhaustion before the
- * message overflows the modulus.
+ * Plan-aware runtime guard. Everything it predicts depends only on the
+ * plan, so it is computed once, at construction, by one interpretPlan()
+ * replay and one certifyPlan() call:
+ *
+ *   - the (level, scale, parts) shape of every register at each layer
+ *     end, in the evaluator's exact double arithmetic, so a healthy
+ *     run's ciphertext tags match bit for bit;
+ *   - the static findings raised before an instruction runs (operands
+ *     written, levels, scales and part counts compatible);
+ *   - each layer's noise-budget sample and its static layer-end finding
+ *     (levelOut metadata, exhausted headroom).
+ *
+ * Per request, the executor only raises the stored findings and
+ * compares the live ciphertexts against the stored shapes at each
+ * layer end: a dropped rescale, perturbed scale or corrupted register
+ * shows up as divergence there.
  */
 #ifndef FXHENN_HECNN_GUARD_HPP
 #define FXHENN_HECNN_GUARD_HPP
@@ -19,23 +27,29 @@
 
 #include "src/ckks/ciphertext.hpp"
 #include "src/ckks/context.hpp"
-#include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/plan.hpp"
+#include "src/hecnn/plan_interp.hpp"
 #include "src/robustness/guard.hpp"
 
 namespace fxhenn::hecnn {
 
-/** Per-inference invariant tracker owned by hecnn::Runtime. */
+/** A violation the guard predicts before an instruction executes. */
+struct GuardFinding
+{
+    std::size_t instr = 0; ///< index into the layer's instrs
+    const char *op = "";   ///< opName() of that instruction
+    std::string reason;
+};
+
+/** Once-per-plan guard prediction, owned by a PlanExecutor. */
 class RuntimeGuard
 {
   public:
     /**
-     * Construction certifies the plan once with the static noise
-     * certifier (at GuardOptions::messageBits); checkLayerEnd then
-     * consumes the per-layer certified bounds instead of re-deriving
-     * an ad-hoc worst-case headroom. An invalid certificate (e.g. a
-     * malformed plan that still executes) degrades gracefully to the
-     * noise-free headroom formula.
+     * Replay @p plan over @p context's scale and prime chain and
+     * certify it at GuardOptions::messageBits. An invalid certificate
+     * (e.g. a malformed plan that still executes) degrades gracefully
+     * to the noise-free headroom formula.
      */
     RuntimeGuard(const HeNetworkPlan &plan,
                  const ckks::CkksContext &context,
@@ -43,53 +57,40 @@ class RuntimeGuard
 
     const robustness::GuardOptions &options() const { return options_; }
 
-    /** The static certificate computed at construction. */
-    const NoiseCertificate &certificate() const { return cert_; }
-
-    /** Reset predicted state to "inputs freshly encrypted". */
-    void beginInfer();
-
-    /**
-     * Validate @p instr against the predicted register state before it
-     * executes: operands written, levels/scales compatible, part
-     * counts as the op expects. @return the violation, or nullopt.
-     */
-    std::optional<std::string> preCheck(const HeInstr &instr) const;
-
-    /** Advance the predicted state across @p instr. */
-    void apply(const HeInstr &instr);
+    /** Findings of layer @p layer, in instruction order. */
+    std::span<const GuardFinding> findings(std::size_t layer) const
+    {
+        return layers_[layer].findings;
+    }
 
     /**
-     * Layer-boundary check: compare every predicted register against
-     * the actual ciphertexts, validate the plan's levelOut metadata,
-     * append this layer's BudgetSample, and flag predicted headroom
-     * exhaustion. @return the first violation found, or nullopt.
+     * Layer-end check of layer @p layer: compare every predicted
+     * register against the actual ciphertexts, then report the layer's
+     * static finding. @return the first violation found, or nullopt.
      */
     std::optional<std::string> checkLayerEnd(
-        const HeLayerPlan &layer,
-        std::span<const std::optional<ckks::Ciphertext>> regs);
+        std::size_t layer,
+        std::span<const std::optional<ckks::Ciphertext>> regs) const;
 
-    /** Predicted headroom trajectory of the current inference. */
-    const std::vector<robustness::BudgetSample> &trajectory() const
+    /** Predicted budget samples of the first @p layers layers. */
+    std::vector<robustness::BudgetSample>
+    trajectory(std::size_t layers) const
     {
-        return trajectory_;
+        return {budget_.begin(),
+                budget_.begin() + static_cast<std::ptrdiff_t>(layers)};
     }
 
   private:
-    struct RegState
+    struct LayerPrediction
     {
-        bool written = false;
-        std::size_t level = 0;
-        double scale = 0.0;
-        std::size_t parts = 2;
+        std::vector<GuardFinding> findings;
+        std::vector<RegShape> shapes; ///< register file at layer end
+        std::optional<std::string> endFinding;
     };
 
-    const HeNetworkPlan &plan_;
-    const ckks::CkksContext &context_;
     robustness::GuardOptions options_;
-    NoiseCertificate cert_;
-    std::vector<RegState> regs_;
-    std::vector<robustness::BudgetSample> trajectory_;
+    std::vector<LayerPrediction> layers_;
+    std::vector<robustness::BudgetSample> budget_;
 };
 
 } // namespace fxhenn::hecnn

@@ -4,25 +4,15 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <optional>
+#include <span>
 #include <sstream>
 
 #include "src/ckks/noise.hpp"
-#include "src/common/assert.hpp"
-#include "src/modarith/primes.hpp"
+#include "src/hecnn/plan_interp.hpp"
 
 namespace fxhenn::hecnn {
 
 namespace {
-
-/** Abstract state of one ciphertext register. */
-struct AbsReg
-{
-    bool written = false;
-    std::size_t level = 0;  ///< effective level (after levelShift)
-    double scale = 0.0;     ///< exact replay of the evaluator's double
-    double noiseBits = 0.0; ///< log2 worst-case coefficient noise
-};
 
 std::string
 fmtBits(double v)
@@ -59,9 +49,9 @@ double
 ptSlotBits(const PlanPlaintext &pt, double ciphertextScale,
            double schemeScale)
 {
-    // The compiler records maxAbs even for elided plans (v3 streams);
-    // a plan without it (legacy v2 elided stream) falls back to the
-    // |v| <= 1.0 bound the zoo's normalized weights satisfy.
+    // The compiler records maxAbs even for elided plans; an elided
+    // plan without it falls back to the |v| <= 1.0 bound the zoo's
+    // normalized weights satisfy.
     double max_abs = pt.maxAbs;
     if (max_abs == 0.0) {
         if (!pt.values.empty())
@@ -73,116 +63,91 @@ ptSlotBits(const PlanPlaintext &pt, double ciphertextScale,
     return std::log2(enc_scale * max_abs);
 }
 
+/**
+ * interpretPlan() visitor that carries a log2 noise bound next to each
+ * register's shape and records one LayerNoiseBound per layer end.
+ */
 struct Certifier
 {
     const HeNetworkPlan &plan;
     const CertifyOptions &opts;
-    const ckks::NoiseModel model;
-    std::vector<AbsReg> regs;
+    const ckks::NoiseModel &model;
+    NoiseCertificate &cert;
+    std::vector<double> noiseBits; ///< per register, log2 worst case
 
-    /** Interpret one instruction; returns an error string on abstract
-     *  failure (out-of-range register, read-before-write, rescale at
-     *  the chain floor). */
-    std::optional<std::string>
-    step(const HeInstr &instr)
+    /** Abstract failure: the certificate is invalid from here on. */
+    bool
+    fail(const InterpStep &s, const std::string &reason)
     {
-        const auto regCount = static_cast<std::int32_t>(regs.size());
-        if (instr.dst < 0 || instr.dst >= regCount || instr.src < 0 ||
-            instr.src >= regCount)
-            return "instruction register out of range (dst r" +
-                   std::to_string(instr.dst) + ", src r" +
-                   std::to_string(instr.src) + ")";
-        const AbsReg src = regs[static_cast<std::size_t>(instr.src)];
-        AbsReg &dst = regs[static_cast<std::size_t>(instr.dst)];
-        if (!src.written)
-            return "read of unwritten register r" +
-                   std::to_string(instr.src);
+        cert.invalidReason =
+            "layer " + plan.layers[s.layer].name + ": " + reason;
+        return false;
+    }
 
-        const double scheme_scale = model.params().scale;
+    bool
+    step(const InterpStep &s, std::span<const RegShape> regs)
+    {
+        if (s.fault)
+            return fail(s, *s.fault);
+        const HeInstr &instr = s.instr;
+        const RegShape &src = regs[static_cast<std::size_t>(instr.src)];
+        const double src_noise =
+            noiseBits[static_cast<std::size_t>(instr.src)];
+        double &dst_noise = noiseBits[static_cast<std::size_t>(instr.dst)];
+        // msg slot bound: scale * max|m| per the certified message
+        // assumption.
+        auto msgBits = [&] {
+            return (src.scale > 0.0 ? std::log2(src.scale) : 0.0) +
+                   opts.messageBits;
+        };
         switch (instr.kind) {
           case HeOpKind::pcMult: {
             if (instr.pt < 0 ||
                 instr.pt >= static_cast<std::int32_t>(
                                 plan.plaintexts.size()))
-                return "plaintext index out of range (pt " +
-                       std::to_string(instr.pt) + ")";
+                return fail(s, "plaintext index out of range (pt " +
+                                   std::to_string(instr.pt) + ")");
             const auto &pt =
                 plan.plaintexts[static_cast<std::size_t>(instr.pt)];
-            const double msg_bits =
-                (src.scale > 0.0 ? std::log2(src.scale) : 0.0) +
-                opts.messageBits;
-            dst = src;
-            dst.scale = src.scale * scheme_scale;
-            dst.noiseBits = model.pcMultNoiseBits(
-                src.noiseBits,
-                ptSlotBits(pt, src.scale, scheme_scale), msg_bits);
+            dst_noise = model.pcMultNoiseBits(
+                src_noise,
+                ptSlotBits(pt, src.scale, model.params().scale),
+                msgBits());
             break;
           }
           case HeOpKind::pcAdd:
-            dst = src;
-            dst.noiseBits = model.pcAddNoiseBits(src.noiseBits);
+            dst_noise = model.pcAddNoiseBits(src_noise);
             break;
-          case HeOpKind::ccAdd: {
-            if (!dst.written)
-                return "read of unwritten register r" +
-                       std::to_string(instr.dst);
-            dst.noiseBits =
-                model.ccAddNoiseBits(dst.noiseBits, src.noiseBits);
+          case HeOpKind::ccAdd:
+            dst_noise = model.ccAddNoiseBits(dst_noise, src_noise);
             break;
-          }
-          case HeOpKind::ccMult: {
-            // msg slot bound: scale * max|m| per the certified
-            // message assumption.
-            const double msg_bits =
-                (src.scale > 0.0 ? std::log2(src.scale) : 0.0) +
-                opts.messageBits;
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            dst.noiseBits =
-                model.ccMultNoiseBits(src.noiseBits, msg_bits);
+          case HeOpKind::ccMult:
+            dst_noise = model.ccMultNoiseBits(src_noise, msgBits());
             break;
-          }
           case HeOpKind::relinearize:
           case HeOpKind::rotate:
-            dst = src;
-            dst.noiseBits =
-                model.keySwitchedNoiseBits(src.noiseBits, src.level);
+            dst_noise = model.keySwitchedNoiseBits(src_noise, src.level);
             break;
           case HeOpKind::rescale:
             if (src.level < 2)
-                return "rescale at effective level " +
-                       std::to_string(src.level) +
-                       ": no prime left to rescale into";
-            dst = src;
-            dst.scale =
-                src.scale / std::exp2(model.logPrime(src.level - 1));
-            dst.noiseBits =
-                model.rescaleNoiseBits(src.noiseBits, src.level);
-            dst.level = src.level - 1;
+                return fail(s, "rescale at effective level " +
+                                   std::to_string(src.level) +
+                                   ": no prime left to rescale into");
+            dst_noise = model.rescaleNoiseBits(src_noise, src.level);
             break;
           case HeOpKind::copy:
-            dst = src;
+            dst_noise = src_noise;
             break;
         }
-        dst.written = true;
-        return std::nullopt;
+        return true;
     }
 
-    /** Bound at a layer boundary, mirroring RuntimeGuard's sample. */
-    LayerNoiseBound
-    layerBound(const HeLayerPlan &layer) const
+    /** Bound at a layer boundary, over the registers the guard's
+     *  layer-end check judges. */
+    bool
+    layerEnd(std::size_t li, std::span<const RegShape> regs)
     {
-        const std::vector<std::int32_t> *out_regs =
-            &layer.outputLayout.regs;
-        std::vector<std::int32_t> fallback;
-        if (out_regs->empty()) {
-            for (std::size_t i = 0; i < regs.size(); ++i) {
-                if (regs[i].written)
-                    fallback.push_back(static_cast<std::int32_t>(i));
-            }
-            out_regs = &fallback;
-        }
-
+        const HeLayerPlan &layer = plan.layers[li];
         LayerNoiseBound bound;
         bound.layer = layer.name;
         bound.level = layer.levelOut >= opts.levelShift
@@ -190,25 +155,29 @@ struct Certifier
                           : 0;
         bound.headroomBits = std::numeric_limits<double>::infinity();
         bool any = false;
-        for (const std::int32_t r : *out_regs) {
+        for (const std::int32_t r : layerOutputRegs(layer, regs)) {
             if (r < 0 || r >= static_cast<std::int32_t>(regs.size()))
                 continue;
-            const AbsReg &s = regs[static_cast<std::size_t>(r)];
+            const RegShape &s = regs[static_cast<std::size_t>(r)];
             if (!s.written)
                 continue;
             any = true;
+            const double noise = noiseBits[static_cast<std::size_t>(r)];
             const double scale_bits =
                 s.scale > 0.0 ? std::log2(s.scale) : 0.0;
             const double headroom = model.headroomBits(
-                scale_bits + opts.messageBits, s.noiseBits, s.level);
+                scale_bits + opts.messageBits, noise, s.level);
             bound.scaleBits = std::max(bound.scaleBits, scale_bits);
-            bound.noiseBits = std::max(bound.noiseBits, s.noiseBits);
+            bound.noiseBits = std::max(bound.noiseBits, noise);
             bound.headroomBits =
                 std::min(bound.headroomBits, headroom);
         }
         if (!any)
             bound.headroomBits = 0.0;
-        return bound;
+        cert.minHeadroomBits =
+            std::min(cert.minHeadroomBits, bound.headroomBits);
+        cert.layers.push_back(bound);
+        return true;
     }
 };
 
@@ -228,52 +197,31 @@ certifyPlan(const HeNetworkPlan &plan, const CertifyOptions &opts)
                                  " leaves no data primes";
             return cert;
         }
-        const std::size_t eff_levels =
-            plan.params.levels - opts.levelShift;
-        const auto primes = generateNttPrimes(
-            plan.params.qBits, plan.params.n, eff_levels);
+        const InterpDomain domain =
+            interpDomain(plan.params, opts.levelShift);
         const ckks::NoiseModel model(
             [&] {
                 ckks::CkksParams p = plan.params;
-                p.levels = eff_levels;
+                p.levels = domain.levels;
                 return p;
             }(),
-            primes);
-        cert.levels = eff_levels;
-
-        Certifier certifier{plan, opts, model, {}};
-        certifier.regs.assign(
-            static_cast<std::size_t>(std::max(plan.regCount,
-                                              std::int32_t{0})),
-            AbsReg{});
-        const double fresh = ckks::NoiseModel::logAdd(
-            model.freshNoiseBits(), model.encodingRoundBits());
-        for (std::size_t i = 0; i < plan.inputGather.size(); ++i) {
-            if (i >= certifier.regs.size())
-                break;
-            AbsReg &s = certifier.regs[i];
-            s.written = true;
-            s.level = eff_levels;
-            s.scale = plan.params.scale;
-            s.noiseBits = fresh;
-        }
+            domain.primes);
+        cert.levels = domain.levels;
 
         cert.minHeadroomBits =
             std::numeric_limits<double>::infinity();
-        for (const HeLayerPlan &layer : plan.layers) {
-            for (const HeInstr &instr : layer.instrs) {
-                if (auto err = certifier.step(instr)) {
-                    cert.invalidReason =
-                        "layer " + layer.name + ": " + *err;
-                    cert.minHeadroomBits = 0.0;
-                    return cert;
-                }
-            }
-            const LayerNoiseBound bound =
-                certifier.layerBound(layer);
-            cert.minHeadroomBits =
-                std::min(cert.minHeadroomBits, bound.headroomBits);
-            cert.layers.push_back(bound);
+        Certifier certifier{plan, opts, model, cert, {}};
+        const double fresh = ckks::NoiseModel::logAdd(
+            model.freshNoiseBits(), model.encodingRoundBits());
+        const auto regs = seedRegisters(plan, domain);
+        certifier.noiseBits.resize(regs.size(), 0.0);
+        for (std::size_t i = 0; i < regs.size(); ++i) {
+            if (regs[i].written)
+                certifier.noiseBits[i] = fresh;
+        }
+        if (!interpretPlan(plan, domain, certifier)) {
+            cert.minHeadroomBits = 0.0;
+            return cert;
         }
         if (cert.layers.empty())
             cert.minHeadroomBits = 0.0;

@@ -2,19 +2,21 @@
  * @file
  * Static noise-budget certifier over the plan IR.
  *
- * certifyPlan() abstract-interprets a compiled HeNetworkPlan with the
- * ckks::NoiseModel growth rules (fresh-encryption bound, pcMult / add /
- * square / keyswitch / rescale) over the exact NTT prime chain and
- * emits a per-layer certificate: the worst-case noise trajectory and
- * the minimum modulus headroom any execution can have. A negative
+ * certifyPlan() is an interpretPlan() visitor (src/hecnn/plan_interp):
+ * next to each register's shared (level, scale, parts) shape it carries
+ * a noise bound under the ckks::NoiseModel growth rules (fresh
+ * encryption, pcMult / add / square / keyswitch / rescale) over the
+ * exact NTT prime chain, and emits a per-layer certificate: the
+ * worst-case noise trajectory and the minimum modulus headroom any
+ * execution can have. A negative
  * certified headroom means the plan can overflow the modulus for some
  * in-spec input — `fxhenn lint` refuses such plans (exit 4) and
  * hecnn::compile's self-check rejects them before they are saved.
  *
  * The certificate is also the contract the runtime checks against:
- * RuntimeGuard replays the certified trajectory, and the differential
- * tests assert measured headroom >= certified headroom at every layer
- * of every zoo model. This file lives in src/hecnn (not src/analysis)
+ * RuntimeGuard takes its per-layer budget samples from it, and the
+ * differential tests assert measured headroom >= certified headroom at
+ * every layer of every zoo model. This file lives in src/hecnn (not src/analysis)
  * because fxhenn_analysis links fxhenn_hecnn, never the reverse; the
  * analysis NoiseBudgetPass is a thin wrapper over certifyPlan().
  */

@@ -21,6 +21,15 @@ struct DegradeSignal
     robustness::FailureReport report;
 };
 
+const HeNetworkPlan &
+executable(const HeNetworkPlan &plan)
+{
+    FXHENN_FATAL_IF(plan.valuesElided,
+                    "plan was compiled with elideValues=true and "
+                    "cannot be executed");
+    return plan;
+}
+
 } // namespace
 
 PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
@@ -30,14 +39,12 @@ PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
                            const PlaintextPool &pool,
                            robustness::GuardOptions guard,
                            ExecOptions exec)
-    : plan_(plan), context_(context), relin_(relin), galois_(galois),
-      pool_(pool), encoder_(context), guardOptions_(guard),
+    : plan_(executable(plan)), context_(context), relin_(relin),
+      galois_(galois), pool_(pool), encoder_(context),
       execOptions_(exec),
-      backend_(createBackend(resolveBackendName(exec.backend)))
+      backend_(createBackend(resolveBackendName(exec.backend))),
+      guard_(plan, context, guard)
 {
-    FXHENN_FATAL_IF(plan.valuesElided,
-                    "plan was compiled with elideValues=true and "
-                    "cannot be executed");
 }
 
 void
@@ -46,7 +53,7 @@ PlanExecutor::guardViolation(Run &run, const std::string &layer,
                              const std::string &reason) const
 {
     FXHENN_TELEM_COUNT("robustness.guard.violations", 1);
-    switch (guardOptions_.policy) {
+    switch (guard_.options().policy) {
       case robustness::GuardPolicy::strict:
         FXHENN_PANIC_IF(true, "guard: " + reason + " (layer " + layer +
                                   ", op " + std::string(op) + ")");
@@ -65,20 +72,34 @@ PlanExecutor::guardViolation(Run &run, const std::string &layer,
         report.layer = layer;
         report.op = op;
         report.reason = reason;
-        report.trajectory = run.guard.trajectory();
+        report.trajectory = guard_.trajectory(run.layersChecked);
         throw DegradeSignal{std::move(report)};
       }
     }
 }
 
 void
-PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
+PlanExecutor::executeLayer(Run &run, std::size_t li) const
 {
+    const HeLayerPlan &layer = plan_.layers[li];
     auto &regs = run.regs;
     auto reg = [&](std::int32_t id) -> ckks::Ciphertext & {
         auto &slot = regs[static_cast<std::size_t>(id)];
         FXHENN_ASSERT(slot.has_value(), "read of unwritten register");
         return *slot;
+    };
+
+    // The guard's findings for this layer, raised just before the
+    // instruction they concern executes.
+    const auto findings = guard_.findings(li);
+    std::size_t next_finding = 0;
+    auto raiseFindingsBefore = [&](std::size_t end) {
+        for (; next_finding < findings.size() &&
+               findings[next_finding].instr < end;
+             ++next_finding) {
+            const GuardFinding &f = findings[next_finding];
+            guardViolation(run, layer.name, f.op, f.reason);
+        }
     };
 
     // Consecutive same-source rotations dispatch as one hoisted group
@@ -97,36 +118,22 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
         if (next_group < groups.size() &&
             groups[next_group].begin == idx &&
             groups[next_group].hoistable()) {
-            // Guard bookkeeping runs per member up front; a rotate's
-            // apply() only forwards the source's predicted state to
-            // the destination, and no member (except a trailing
-            // dst == src) writes the shared source, so this ordering
-            // is equivalent to the serial interleaving.
             const RotationGroup &group = groups[next_group];
+            raiseFindingsBefore(group.begin + group.count);
             std::vector<int> steps;
-            std::vector<std::int32_t> dsts;
             steps.reserve(group.count);
-            dsts.reserve(group.count);
-            for (std::size_t m = 0; m < group.count; ++m) {
-                const auto &member = layer.instrs[group.begin + m];
-                if (auto reason = run.guard.preCheck(member))
-                    guardViolation(run, layer.name,
-                                   opName(member.kind), *reason);
-                steps.push_back(member.step);
-                dsts.push_back(member.dst);
-                run.guard.apply(member);
-            }
+            for (std::size_t m = 0; m < group.count; ++m)
+                steps.push_back(layer.instrs[group.begin + m].step);
             auto rotated = run.ops->rotateHoisted(reg(instr.src),
                                                   steps);
             for (std::size_t m = 0; m < group.count; ++m)
-                regs[static_cast<std::size_t>(dsts[m])] =
+                regs[static_cast<std::size_t>(
+                    layer.instrs[group.begin + m].dst)] =
                     std::move(rotated[m]);
             idx = group.begin + group.count - 1;
             continue;
         }
-        if (auto reason = run.guard.preCheck(instr))
-            guardViolation(run, layer.name, opName(instr.kind),
-                           *reason);
+        raiseFindingsBefore(idx + 1);
         switch (instr.kind) {
           case HeOpKind::pcMult: {
             const auto &pt = pool_.at(instr.pt);
@@ -175,7 +182,6 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
             regs[static_cast<std::size_t>(instr.dst)] = reg(instr.src);
             break;
         }
-        run.guard.apply(instr);
     }
 }
 
@@ -203,20 +209,21 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
     runCtx.relin = &relin_;
     runCtx.galois = &galois_;
     runCtx.kswMode = execOptions_.kswMode;
-    Run run{backend_->beginRun(runCtx),
-            RuntimeGuard(plan_, context_, guardOptions_),
-            {},
-            {}};
+    Run run{backend_->beginRun(runCtx), {}, {}, 0};
     run.regs.resize(static_cast<std::size_t>(plan_.regCount));
+    FXHENN_FATAL_IF(inputs.size() > run.regs.size(),
+                    "plan has " + std::to_string(inputs.size()) +
+                        " inputs but only " +
+                        std::to_string(run.regs.size()) + " registers");
     run.layerStats.reserve(plan_.layers.size());
-    run.guard.beginInfer();
     for (std::size_t i = 0; i < inputs.size(); ++i)
         run.regs[i] = std::move(inputs[i]);
 
     ExecutionResult out;
     const bool degrade =
-        guardOptions_.policy == robustness::GuardPolicy::degrade;
-    for (const auto &layer : plan_.layers) {
+        guard_.options().policy == robustness::GuardPolicy::degrade;
+    for (std::size_t li = 0; li < plan_.layers.size(); ++li) {
+        const HeLayerPlan &layer = plan_.layers[li];
         // Cooperative between-layer deadline checkpoint: a request
         // that blew its latency budget degrades here instead of
         // burning worker time on layers nobody will wait for. This is
@@ -229,7 +236,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             report.op = "deadline";
             report.reason = "request deadline exceeded before layer '" +
                             layer.name + "' (cooperative abort)";
-            report.trajectory = run.guard.trajectory();
+            report.trajectory = guard_.trajectory(run.layersChecked);
             out.failure = std::move(report);
             break;
         }
@@ -246,7 +253,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             const ckks::OpCounts before = run.ops->counts();
             Timer timer;
             run.ops->beginLayer(layer);
-            executeLayer(run, layer);
+            executeLayer(run, li);
             run.ops->endLayer(layer);
             MeasuredLayerStats row;
             row.name = layer.name;
@@ -268,11 +275,9 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             }
             run.layerStats.push_back(std::move(row));
             if (control.layerProbe)
-                control.layerProbe(
-                    static_cast<std::size_t>(&layer -
-                                             plan_.layers.data()),
-                    run.regs);
-            if (auto reason = run.guard.checkLayerEnd(layer, run.regs))
+                control.layerProbe(li, run.regs);
+            run.layersChecked = li + 1;
+            if (auto reason = guard_.checkLayerEnd(li, run.regs))
                 guardViolation(run, layer.name, "layer-end", *reason);
         } catch (DegradeSignal &sig) {
             out.failure = std::move(sig.report);
@@ -283,7 +288,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             report.layer = layer.name;
             report.op = "exception";
             report.reason = e.what();
-            report.trajectory = run.guard.trajectory();
+            report.trajectory = guard_.trajectory(run.layersChecked);
             out.failure = std::move(report);
         } catch (const InternalError &e) {
             if (!degrade)
@@ -292,13 +297,13 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             report.layer = layer.name;
             report.op = "exception";
             report.reason = e.what();
-            report.trajectory = run.guard.trajectory();
+            report.trajectory = guard_.trajectory(run.layersChecked);
             out.failure = std::move(report);
         }
         if (out.failure)
             break;
     }
-    out.budget = run.guard.trajectory();
+    out.budget = guard_.trajectory(run.layersChecked);
     out.executed = run.ops->counts();
     out.backendName = backend_->name();
     out.simulated = run.ops->timeline();

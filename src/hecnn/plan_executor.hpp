@@ -6,13 +6,15 @@
  * A PlanExecutor borrows everything it needs by const reference — the
  * compiled plan, the CKKS context, the relinearization/Galois keys and
  * the precomputed PlaintextPool — and keeps no per-request state in
- * the object: every execute() call starts its own backend run, guard
- * and register file on the stack. Every HE op dispatches through the
- * ExecutionBackend named in ExecOptions::backend (src/hecnn/backend.hpp),
- * so the same interpreter drives the host CPU path and the
- * cycle-approximate FPGA pipeline simulator unchanged. One executor
- * therefore serves any number
- * of concurrent requests (the InferenceEngine's worker pool), and the
+ * the object: every execute() call starts its own backend run and
+ * register file on the stack. The guard's prediction depends only on
+ * the plan, so the executor computes it once, at construction, and
+ * shares it read-only between requests. Every HE op dispatches through
+ * the ExecutionBackend named in ExecOptions::backend
+ * (src/hecnn/backend.hpp), so the same interpreter drives the host CPU
+ * path and the cycle-approximate FPGA pipeline simulator unchanged.
+ * One executor therefore serves any number of concurrent requests
+ * (the InferenceEngine's worker pool), and the
  * FxHENN verification loop (Sec. VII) gets the plan-interpreter half
  * without dragging in the client role.
  */
@@ -162,7 +164,7 @@ class PlanExecutor
     const HeNetworkPlan &plan() const { return plan_; }
     const robustness::GuardOptions &guardOptions() const
     {
-        return guardOptions_;
+        return guard_.options();
     }
     const ExecOptions &execOptions() const { return execOptions_; }
 
@@ -175,12 +177,14 @@ class PlanExecutor
     struct Run
     {
         std::unique_ptr<BackendRun> ops;
-        RuntimeGuard guard;
         std::vector<std::optional<ckks::Ciphertext>> regs;
         std::vector<MeasuredLayerStats> layerStats;
+        /** Layers whose layer-end check ran: the budget samples a
+         *  FailureReport of this run carries. */
+        std::size_t layersChecked = 0;
     };
 
-    void executeLayer(Run &run, const HeLayerPlan &layer) const;
+    void executeLayer(Run &run, std::size_t layer) const;
     void guardViolation(Run &run, const std::string &layer,
                         const char *op, const std::string &reason) const;
 
@@ -190,9 +194,10 @@ class PlanExecutor
     const ckks::GaloisKeys &galois_;
     const PlaintextPool &pool_;
     ckks::Encoder encoder_; ///< re-entrant (bias encodes at run scale)
-    robustness::GuardOptions guardOptions_;
     ExecOptions execOptions_;
     std::unique_ptr<ExecutionBackend> backend_;
+    /** Plan-only guard prediction, computed once at construction. */
+    RuntimeGuard guard_;
 };
 
 } // namespace fxhenn::hecnn

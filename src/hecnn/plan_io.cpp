@@ -1,6 +1,5 @@
 #include "src/hecnn/plan_io.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <istream>
@@ -20,15 +19,10 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x4678504c414e3031ull; // "FxPLAN01"
 /**
- * Version 2 appends a CRC-32 trailer over everything before it.
- * Version 3 adds each plaintext's maxAbs so elided (stats-only) plans
- * stay noise-certifiable. Version 4 adds the cross-request batch lane
- * count after regCount; older streams load as batchLanes = 1, and a
- * batched plan refuses to serialize at a version that would silently
- * drop its lane structure. Version-1 (no trailer), version-2 and
- * version-3 streams remain readable; v2 plaintexts derive maxAbs from
- * their values (0 when elided, which the certifier treats as
- * |v| <= 1).
+ * The only stream version this build reads and writes. A CRC-32
+ * trailer covers everything before it; each plaintext carries its
+ * maxAbs so elided (stats-only) plans stay noise-certifiable; the
+ * cross-request batch lane count follows regCount.
  */
 constexpr std::uint32_t kVersion = 4;
 constexpr std::size_t kHeaderSize =
@@ -173,35 +167,14 @@ readLayout(std::istream &is)
 
 } // namespace
 
-std::uint32_t
-planStreamVersion()
-{
-    return kVersion;
-}
-
 void
 savePlan(const HeNetworkPlan &plan, std::ostream &outer)
 {
-    savePlanAsVersion(plan, outer, kVersion);
-}
-
-void
-savePlanAsVersion(const HeNetworkPlan &plan, std::ostream &outer,
-                  std::uint32_t version)
-{
-    FXHENN_FATAL_IF(version == 0 || version > kVersion,
-                    "unknown plan stream version " +
-                        std::to_string(version));
-    FXHENN_FATAL_IF(plan.batchLanes > 1 && version < 4,
-                    "plan stream version " + std::to_string(version) +
-                        " cannot represent a batched plan (batchLanes " +
-                        std::to_string(plan.batchLanes) +
-                        "); use version 4 or later");
     // Serialize into a buffer first so the CRC-32 trailer can cover
     // the whole payload.
     std::ostringstream os;
     writePod(os, kMagic);
-    writePod(os, version);
+    writePod(os, kVersion);
     writeString(os, plan.name);
     writePod(os, static_cast<std::uint64_t>(plan.params.n));
     writePod(os, static_cast<std::uint64_t>(plan.params.levels));
@@ -211,8 +184,7 @@ savePlanAsVersion(const HeNetworkPlan &plan, std::ostream &outer,
     writePod(os, plan.params.sigma);
     writePod(os, static_cast<std::uint8_t>(plan.valuesElided ? 1 : 0));
     writePod(os, plan.regCount);
-    if (version >= 4)
-        writePod(os, static_cast<std::uint32_t>(plan.batchLanes));
+    writePod(os, static_cast<std::uint32_t>(plan.batchLanes));
 
     writePod(os, static_cast<std::uint64_t>(plan.inputGather.size()));
     for (const auto &gather : plan.inputGather)
@@ -233,8 +205,7 @@ savePlanAsVersion(const HeNetworkPlan &plan, std::ostream &outer,
         writePod(os, static_cast<std::uint64_t>(pt.level));
         writePod(os,
                  static_cast<std::uint8_t>(pt.atSchemeScale ? 1 : 0));
-        if (version >= 3)
-            writePod(os, pt.maxAbs);
+        writePod(os, pt.maxAbs);
         writeVector(os, pt.values);
     }
 
@@ -243,8 +214,7 @@ savePlanAsVersion(const HeNetworkPlan &plan, std::ostream &outer,
     const std::string bytes = os.str();
     outer.write(bytes.data(),
                 static_cast<std::streamsize>(bytes.size()));
-    if (version >= 2)
-        writePod(outer, crc32(bytes.data(), bytes.size()));
+    writePod(outer, crc32(bytes.data(), bytes.size()));
 }
 
 HeNetworkPlan
@@ -268,22 +238,18 @@ loadPlan(std::istream &stream)
     std::uint32_t version = 0;
     std::memcpy(&version, bytes.data() + sizeof(magic),
                 sizeof(version));
-    FXHENN_FATAL_IF(version == 0 || version > kVersion,
-                    "unsupported plan version");
+    FXHENN_FATAL_IF(version != kVersion,
+                    "unsupported plan version " + std::to_string(version) +
+                        " (this build reads version " +
+                        std::to_string(kVersion) + " only)");
 
-    std::size_t payload_size = bytes.size();
-    if (version >= 2) {
-        FXHENN_FATAL_IF(bytes.size() <
-                            kHeaderSize + sizeof(std::uint32_t),
-                        "truncated plan stream (checksum missing)");
-        payload_size = bytes.size() - sizeof(std::uint32_t);
-        std::uint32_t stored = 0;
-        std::memcpy(&stored, bytes.data() + payload_size,
-                    sizeof(stored));
-        FXHENN_FATAL_IF(stored != crc32(bytes.data(), payload_size),
-                        "plan checksum mismatch (corrupted plan "
-                        "file)");
-    }
+    FXHENN_FATAL_IF(bytes.size() < kHeaderSize + sizeof(std::uint32_t),
+                    "truncated plan stream (checksum missing)");
+    const std::size_t payload_size = bytes.size() - sizeof(std::uint32_t);
+    std::uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + payload_size, sizeof(stored));
+    FXHENN_FATAL_IF(stored != crc32(bytes.data(), payload_size),
+                    "plan checksum mismatch (corrupted plan file)");
 
     std::istringstream is(bytes.substr(0, payload_size));
     is.ignore(static_cast<std::streamsize>(kHeaderSize));
@@ -301,15 +267,18 @@ loadPlan(std::istream &stream)
     plan.regCount = readPod<std::int32_t>(is);
     FXHENN_FATAL_IF(plan.regCount < 0 || plan.regCount > (1 << 24),
                     "implausible register count");
-    if (version >= 4) {
-        plan.batchLanes = readPod<std::uint32_t>(is);
-        FXHENN_FATAL_IF(plan.batchLanes == 0 ||
-                            (plan.params.n / 2) % plan.batchLanes != 0,
-                        "corrupt batch lane count");
-    }
+    plan.batchLanes = readPod<std::uint32_t>(is);
+    FXHENN_FATAL_IF(plan.batchLanes == 0 ||
+                        (plan.params.n / 2) % plan.batchLanes != 0,
+                    "corrupt batch lane count");
 
     const auto gathers = readPod<std::uint64_t>(is);
     FXHENN_FATAL_IF(gathers > 65536, "implausible input count");
+    // Input ciphertexts land in registers 0..gathers-1.
+    FXHENN_FATAL_IF(gathers > static_cast<std::uint64_t>(plan.regCount),
+                    "plan has " + std::to_string(gathers) +
+                        " input ciphertexts but only " +
+                        std::to_string(plan.regCount) + " registers");
     for (std::uint64_t i = 0; i < gathers; ++i) {
         plan.inputGather.push_back(
             readVector<std::int32_t>(is, plan.params.n));
@@ -344,13 +313,8 @@ loadPlan(std::istream &stream)
         PlanPlaintext pt;
         pt.level = readPod<std::uint64_t>(is);
         pt.atSchemeScale = readPod<std::uint8_t>(is) != 0;
-        if (version >= 3)
-            pt.maxAbs = readPod<double>(is);
+        pt.maxAbs = readPod<double>(is);
         pt.values = readVector<double>(is, plan.params.n);
-        if (version < 3) {
-            for (const double v : pt.values)
-                pt.maxAbs = std::max(pt.maxAbs, std::abs(v));
-        }
         FXHENN_FATAL_IF(pt.level == 0 ||
                             pt.level > plan.params.levels,
                         "corrupt plaintext level");

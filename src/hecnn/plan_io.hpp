@@ -12,28 +12,14 @@
 #ifndef FXHENN_HECNN_PLAN_IO_HPP
 #define FXHENN_HECNN_PLAN_IO_HPP
 
-#include <cstdint>
 #include <iosfwd>
 
 #include "src/hecnn/plan.hpp"
 
 namespace fxhenn::hecnn {
 
-/** Newest plan stream version this build reads and writes. */
-std::uint32_t planStreamVersion();
-
 /** Serialize @p plan to @p os (payloads included unless elided). */
 void savePlan(const HeNetworkPlan &plan, std::ostream &os);
-
-/**
- * Serialize @p plan in an older stream layout: version 1 has no CRC-32
- * trailer, version 2 omits the per-plaintext maxAbs field. Exists so
- * backward-compatibility tests exercise genuine legacy byte streams
- * instead of hand-patched modern ones. Throws ConfigError for an
- * unknown @p version.
- */
-void savePlanAsVersion(const HeNetworkPlan &plan, std::ostream &os,
-                       std::uint32_t version);
 
 /** Deserialize a plan; validates framing and internal consistency. */
 HeNetworkPlan loadPlan(std::istream &is);

@@ -1,32 +1,15 @@
 #include "src/hecnn/rescale_rewriter.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "src/hecnn/plan_check.hpp"
-#include "src/modarith/primes.hpp"
+#include "src/hecnn/plan_interp.hpp"
 
 namespace fxhenn::hecnn {
 
 namespace {
-
-/** Simulated register state over the *emitted* instruction stream. */
-struct SimReg
-{
-    bool written = false;
-    std::size_t level = 0;
-    double scale = 0.0;
-};
-
-bool
-scalesMatch(double a, double b)
-{
-    const double ratio = a / b;
-    return ratio > 0.99 && ratio < 1.01;
-}
 
 /**
  * Per-layer live-out sets by backward dataflow: liveOut[i] holds the
@@ -58,77 +41,30 @@ computeLiveOut(const HeNetworkPlan &plan)
 /** The sinking pass itself; produces a rewritten copy of the plan. */
 struct Sinker
 {
-    const HeNetworkPlan &plan;
-    std::vector<double> primes; ///< exact q_i as doubles
-    std::vector<SimReg> sim;
+    const InterpDomain domain;
+    std::vector<RegShape> shapes; ///< over the *emitted* stream
     std::vector<bool> pending; ///< register owes one deferred rescale
     std::vector<HeInstr> *out = nullptr;
 
-    explicit Sinker(const HeNetworkPlan &p) : plan(p)
+    explicit Sinker(const HeNetworkPlan &p)
+        : domain(interpDomain(p.params)),
+          shapes(seedRegisters(p, domain)), pending(shapes.size(), false)
     {
-        const auto raw = generateNttPrimes(
-            p.params.qBits, p.params.n, p.params.levels);
-        primes.reserve(raw.size());
-        for (const std::uint64_t q : raw)
-            primes.push_back(static_cast<double>(q));
-        sim.assign(static_cast<std::size_t>(
-                       std::max(p.regCount, std::int32_t{0})),
-                   SimReg{});
-        pending.assign(sim.size(), false);
-        for (std::size_t i = 0; i < p.inputGather.size(); ++i) {
-            if (i >= sim.size())
-                break;
-            sim[i] = {true, p.params.levels, p.params.scale};
-        }
     }
 
     bool
     inRange(std::int32_t r) const
     {
-        return r >= 0 && r < static_cast<std::int32_t>(sim.size());
-    }
-
-    /** Apply one emitted instruction to the simulated state. */
-    void
-    apply(const HeInstr &in)
-    {
-        const SimReg src = sim[static_cast<std::size_t>(in.src)];
-        SimReg &dst = sim[static_cast<std::size_t>(in.dst)];
-        switch (in.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * plan.params.scale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break;
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale = src.scale / primes[src.level - 1];
-                dst.level = src.level - 1;
-            }
-            break;
-          case HeOpKind::relinearize:
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
-        }
-        dst.written = true;
+        return r >= 0 && r < static_cast<std::int32_t>(shapes.size());
     }
 
     void
     emit(const HeInstr &in)
     {
         out->push_back(in);
-        apply(in);
+        RegShape &dst = shapes[static_cast<std::size_t>(in.dst)];
+        dst = transfer(in, shapes[static_cast<std::size_t>(in.src)], dst,
+                       domain);
     }
 
     /** Discharge the deferred rescale on @p r (emits `rescale r,r`). */
@@ -164,9 +100,9 @@ struct Sinker
             }
             if (in.kind == HeOpKind::ccAdd) {
                 if (pending[dst] && pending[src] &&
-                    sim[dst].written && sim[src].written &&
-                    sim[dst].level == sim[src].level &&
-                    scalesMatch(sim[dst].scale, sim[src].scale)) {
+                    shapes[dst].written && shapes[src].written &&
+                    shapes[dst].level == shapes[src].level &&
+                    scalesAgree(shapes[dst].scale, shapes[src].scale)) {
                     // Both operands ride at the same pre-rescale
                     // state: add first, rescale the sum once later.
                     // This is the elimination that turns K rescales
@@ -197,25 +133,17 @@ struct Sinker
             emit(in);
         }
 
-        // Layer boundary: discharge what later layers (or the guard's
-        // layer-end metadata check) can observe; drop debts on dead
-        // registers — their rescale is the one we eliminated.
-        std::set<std::int32_t> keep(layer.outputLayout.regs.begin(),
-                                    layer.outputLayout.regs.end());
-        if (keep.empty()) {
-            // No declared outputs: the runtime guard then checks every
-            // written register against levelOut, so flush them all.
-            for (std::size_t r = 0; r < pending.size(); ++r)
+        // Layer boundary: discharge what later layers or the guard's
+        // layer-end check (layerOutputRegs) observe; drop debts on
+        // dead registers — their rescale is the one we eliminated.
+        const auto outputs = layerOutputRegs(layer, shapes);
+        std::set<std::int32_t> keep(outputs.begin(), outputs.end());
+        keep.insert(liveOut.begin(), liveOut.end());
+        for (std::size_t r = 0; r < pending.size(); ++r) {
+            if (pending[r] && keep.count(static_cast<std::int32_t>(r)))
                 flush(static_cast<std::int32_t>(r));
-        } else {
-            keep.insert(liveOut.begin(), liveOut.end());
-            for (std::size_t r = 0; r < pending.size(); ++r) {
-                if (pending[r] &&
-                    keep.count(static_cast<std::int32_t>(r)))
-                    flush(static_cast<std::int32_t>(r));
-                else
-                    pending[r] = false;
-            }
+            else
+                pending[r] = false;
         }
         out = nullptr;
         return true;

@@ -122,7 +122,7 @@ TEST(PlanIo, RejectsCorruptRegisterReferences)
 
 TEST(PlanIo, CrcTrailerRejectsPayloadCorruption)
 {
-    // Version 2 streams carry a CRC-32 trailer: any payload flip —
+    // Plan streams carry a CRC-32 trailer: any payload flip —
     // even one that would deserialize into a structurally valid plan —
     // must be rejected as corruption, deterministically.
     const auto plan =
@@ -143,33 +143,48 @@ TEST(PlanIo, CrcTrailerRejectsPayloadCorruption)
     }
 }
 
-TEST(PlanIo, ReadsVersion1StreamsWithoutTrailer)
+TEST(PlanIo, RejectsOlderStreamVersions)
 {
-    // Backward compatibility: a v1 stream (no CRC trailer, no maxAbs
-    // fields) produced by older builds must still load.
+    // Only the current stream version loads; the version field sits
+    // right after the 8-byte magic.
     const auto plan =
         compile(nn::buildTestNetwork(), ckks::testParams(2048, 7, 30));
-    std::stringstream legacy;
-    savePlanAsVersion(plan, legacy, 1);
-    const auto loaded = loadPlan(legacy);
-    EXPECT_EQ(loaded.name, plan.name);
-    EXPECT_EQ(loaded.layers.size(), plan.layers.size());
+    std::stringstream ss;
+    savePlan(plan, ss);
+    std::string bytes = ss.str();
+    const std::uint32_t v3 = 3;
+    std::memcpy(bytes.data() + 8, &v3, sizeof(v3));
+    std::stringstream patched(bytes);
+    try {
+        loadPlan(patched);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("version"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
-TEST(PlanIo, Version2StreamsDeriveMaxAbsFromValues)
+TEST(PlanIo, RejectsMoreInputsThanRegisters)
 {
-    // v2 streams predate the maxAbs field; the loader reconstructs it
-    // from the stored slot values so old plans stay certifiable.
-    const auto plan =
+    // Inputs occupy registers 0..inputs-1, so a plan whose register
+    // file cannot hold them would write past it on execution.
+    auto plan =
         compile(nn::buildTestNetwork(), ckks::testParams(2048, 7, 30));
-    std::stringstream v2;
-    savePlanAsVersion(plan, v2, 2);
-    const auto loaded = loadPlan(v2);
-    ASSERT_EQ(loaded.plaintexts.size(), plan.plaintexts.size());
-    for (std::size_t i = 0; i < loaded.plaintexts.size(); ++i)
-        EXPECT_DOUBLE_EQ(loaded.plaintexts[i].maxAbs,
-                         plan.plaintexts[i].maxAbs)
-            << "plaintext " << i;
+    plan.regCount =
+        static_cast<std::int32_t>(plan.inputGather.size()) - 1;
+    for (auto &layer : plan.layers)
+        layer.instrs.clear(); // keep every instruction in range
+    std::stringstream ss;
+    savePlan(plan, ss);
+    try {
+        loadPlan(ss);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("registers"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(PlanIo, BatchedPlanRoundtripsLaneCount)
@@ -190,28 +205,6 @@ TEST(PlanIo, BatchedPlanRoundtripsLaneCount)
     for (std::size_t li = 0; li < plan.layers.size(); ++li)
         EXPECT_EQ(loaded.layers[li].instrs.size(),
                   plan.layers[li].instrs.size());
-}
-
-TEST(PlanIo, LegacyStreamsLoadAsSingleLane)
-{
-    const auto plan =
-        compile(nn::buildTestNetwork(), ckks::testParams(2048, 7, 30));
-    std::stringstream v3;
-    savePlanAsVersion(plan, v3, 3);
-    const auto loaded = loadPlan(v3);
-    EXPECT_EQ(loaded.batchLanes, 1u);
-}
-
-TEST(PlanIo, RefusesToDowngradeBatchedPlan)
-{
-    // A v3 stream has no lane field, so saving a batched plan there
-    // would silently produce a plan that decodes garbage: refuse.
-    CompileOptions options;
-    options.batchLanes = 4;
-    const auto plan = compile(nn::buildTestNetwork(),
-                              ckks::testParams(2048, 7, 30), options);
-    std::stringstream v3;
-    EXPECT_THROW(savePlanAsVersion(plan, v3, 3), ConfigError);
 }
 
 TEST(PlanIo, RejectsCorruptLaneCount)
