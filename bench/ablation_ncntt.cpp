@@ -22,7 +22,8 @@ main()
     bench::banner("Ablation - nc_NTT choice", "Eq. 4 / Table I knob");
 
     const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
+                       bench::paperCompileOptions());
     const auto device = fpga::acu9eg();
 
     TablePrinter table({"nc_NTT", "Feasible", "Best lat s", "DSP%",

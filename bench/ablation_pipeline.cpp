@@ -22,7 +22,8 @@ main()
 
     const auto device = fpga::acu9eg();
     const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
+                       bench::paperCompileOptions());
 
     fpga::ModuleAllocation alloc;
     for (auto &op : alloc.ops)

@@ -36,7 +36,7 @@ main()
 
     for (auto &target : targets) {
         for (const auto &device : {fpga::acu9eg(), fpga::acu15eg()}) {
-            FxhennOptions opts;
+            FxhennOptions opts = bench::paperOptions();
             opts.elideValues = target.elide;
             const auto fx = Fxhenn::generate(target.net, target.params,
                                              device, opts);

@@ -43,7 +43,7 @@ main()
                         "Lat s (none)", "URAM gain"});
 
     for (auto &target : targets) {
-        FxhennOptions opts;
+        FxhennOptions opts = bench::paperOptions();
         opts.elideValues = target.elide;
         const auto a =
             Fxhenn::generate(target.net, target.params, with_uram,

@@ -6,8 +6,9 @@
  * Runs the same batch of encrypted test-network inferences on 1, 2, 4
  * and 8 workers unbatched, then again with B = 4 and B = 16 requests
  * packed into shared ciphertext slots, prints the scaling tables and
- * writes the measured numbers to BENCH_throughput.json (or argv[1]) so
- * the repo can commit a baseline. The JSON records the machine's
+ * writes the measured numbers to BENCH_throughput.json (or the path
+ * given as `--out FILE` or as the only argument) so the repo can
+ * commit a baseline. The JSON records the machine's
  * hardware thread count: request-level scaling can only materialize
  * when the host has cores to scale onto, so the baseline is
  * interpreted relative to it, and each config row carries an
@@ -54,11 +55,24 @@ struct ConfigResult
 int
 main(int argc, char **argv)
 {
+    // Output path: `--out FILE` or a bare FILE; any other flag is a
+    // usage error, caught before any measurement runs.
+    std::string outPath = "BENCH_throughput.json";
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--out" && i + 1 < argc) {
+            outPath = argv[++i];
+        } else if (!arg.empty() && arg[0] != '-' && argc == 2) {
+            outPath = arg;
+        } else {
+            std::cerr << "usage: bench_throughput [--out FILE | FILE]\n"
+                      << "error: unexpected argument '" << arg << "'\n";
+            return 2;
+        }
+    }
+
     bench::banner("Inference engine throughput vs workers and batch",
                   "Sec. I MLaaS serving model");
-
-    const std::string outPath =
-        argc > 1 ? argv[1] : "BENCH_throughput.json";
     constexpr std::size_t kRequests = 16;
     constexpr std::uint64_t kSeed = 1;
     const unsigned hardwareThreads = std::thread::hardware_concurrency();

@@ -15,8 +15,32 @@
 #include <string>
 
 #include "src/common/table_printer.hpp"
+#include "src/fxhenn/framework.hpp"
+#include "src/hecnn/compiler.hpp"
 
 namespace fxhenn::bench {
+
+/**
+ * Compile options of the reproduction benches: the paper's LoLa dense
+ * lowering, so reproduced op counts and latencies do not shift with
+ * the default (cost-model) lowering.
+ */
+inline hecnn::CompileOptions
+paperCompileOptions()
+{
+    hecnn::CompileOptions options;
+    options.matVec = hecnn::MatVecLowering::lola;
+    return options;
+}
+
+/** Framework options of the reproduction benches (LoLa lowering). */
+inline FxhennOptions
+paperOptions()
+{
+    FxhennOptions options;
+    options.matVec = hecnn::MatVecLowering::lola;
+    return options;
+}
 
 /** Print the standard bench header. */
 inline void

@@ -38,7 +38,7 @@ main()
     };
 
     for (auto &combo : combos) {
-        FxhennOptions opts;
+        FxhennOptions opts = bench::paperOptions();
         opts.elideValues = combo.elide;
         const auto sol = Fxhenn::generate(combo.net, combo.params,
                                           combo.device, opts);

@@ -22,8 +22,10 @@ main()
     const auto params = ckks::mnistParams();
     const auto device = fpga::acu9eg();
 
-    const auto baseline = Fxhenn::generateBaseline(net, params, device);
-    const auto fx = Fxhenn::generate(net, params, device);
+    const auto baseline = Fxhenn::generateBaseline(
+        net, params, device, bench::paperOptions());
+    const auto fx =
+        Fxhenn::generate(net, params, device, bench::paperOptions());
 
     TablePrinter table({"Layer", "BRAM% base", "BRAM% FxHENN",
                         "Lat s base", "Lat s FxHENN", "Speedup"});

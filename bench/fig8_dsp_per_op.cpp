@@ -40,8 +40,10 @@ main()
     const auto params = ckks::mnistParams();
     const auto device = fpga::acu9eg();
 
-    const auto baseline = Fxhenn::generateBaseline(net, params, device);
-    const auto fx = Fxhenn::generate(net, params, device);
+    const auto baseline = Fxhenn::generateBaseline(
+        net, params, device, bench::paperOptions());
+    const auto fx =
+        Fxhenn::generate(net, params, device, bench::paperOptions());
 
     for (int variant = 0; variant < 2; ++variant) {
         std::cout << "\n"

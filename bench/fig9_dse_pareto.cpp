@@ -22,7 +22,8 @@ main()
                   "Sec. VII-D, Fig. 9");
 
     const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
+                       bench::paperCompileOptions());
     const auto device = fpga::acu9eg();
 
     // Enumerate the whole space once with a generous budget, then bin
@@ -69,8 +70,9 @@ main()
 
     // The auto-selected device solutions must sit on/near the frontier.
     for (const auto &dev : {fpga::acu9eg(), fpga::acu15eg()}) {
-        const auto sol = Fxhenn::generate(nn::buildMnistNetwork(),
-                                          ckks::mnistParams(), dev);
+        const auto sol =
+            Fxhenn::generate(nn::buildMnistNetwork(), ckks::mnistParams(),
+                             dev, bench::paperOptions());
         const dse::ParetoSample mine{sol.design.perf.bramPhysical,
                                      sol.latencySeconds()};
         bool dominated = false;

@@ -22,7 +22,8 @@ main()
 
     const auto device = fpga::acu9eg();
     const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
+                       bench::paperCompileOptions());
     const auto &cnv1 = plan.layers[0];
     const auto &fc1 = plan.layers[2];
 

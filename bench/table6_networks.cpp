@@ -41,7 +41,7 @@ main()
                         "Mod.Size MB (ours)"});
 
     for (auto &row : rows) {
-        hecnn::CompileOptions opts;
+        hecnn::CompileOptions opts = bench::paperCompileOptions();
         opts.elideValues = row.elide;
         const auto plan = hecnn::compile(row.net, row.params, opts);
         const auto counts = plan.totalCounts();

@@ -23,8 +23,10 @@ main()
     const auto params = ckks::mnistParams();
     const auto device = fpga::acu9eg();
 
-    const auto baseline = Fxhenn::generateBaseline(net, params, device);
-    const auto fx = Fxhenn::generate(net, params, device);
+    const auto baseline = Fxhenn::generateBaseline(
+        net, params, device, bench::paperOptions());
+    const auto fx =
+        Fxhenn::generate(net, params, device, bench::paperOptions());
 
     const double bram_cap = device.bram36kBlocks;
     auto pct_dsp = [&](double v) { return 100.0 * v / device.dspSlices; };

@@ -66,6 +66,16 @@ ServiceTimeEstimator::samples() const
 }
 
 double
+predictedCompletionSeconds(std::size_t queueDepth, std::size_t batchLanes,
+                           unsigned workers, double serviceSeconds)
+{
+    const std::size_t lanes = std::max<std::size_t>(batchLanes, 1);
+    const double runsAhead = double((queueDepth + lanes - 1) / lanes);
+    return (runsAhead / double(std::max(workers, 1u))) * serviceSeconds +
+           serviceSeconds;
+}
+
+double
 retryBackoffSeconds(const RetryOptions &retry, std::uint32_t attempt)
 {
     if (retry.backoffBaseSeconds <= 0.0 || attempt == 0)

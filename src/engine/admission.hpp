@@ -76,6 +76,19 @@ class ServiceTimeEstimator
 };
 
 /**
+ * Shed-admission prediction of a new request's completion time, in
+ * seconds from now: the queue ahead drains over @p workers servers,
+ * then the request's own service runs. @p serviceSeconds is the EWMA
+ * of one executed run, which serves a whole group of up to
+ * @p batchLanes requests, so the @p queueDepth requests ahead count as
+ * ceil(queueDepth / batchLanes) runs.
+ */
+double predictedCompletionSeconds(std::size_t queueDepth,
+                                  std::size_t batchLanes,
+                                  unsigned workers,
+                                  double serviceSeconds);
+
+/**
  * Deterministic retry knobs. A transient failure is re-run up to
  * maxRetries times; every attempt reuses the same (keySeed,
  * requestIndex) noise stream, so a retry that succeeds is bitwise

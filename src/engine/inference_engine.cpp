@@ -559,20 +559,20 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
         // SLO-aware fast-fail: with an online service-time estimate,
         // a request predicted to finish after its deadline is shed now
         // instead of wasting queue time and worker cycles. The
-        // predicted completion is queue drain (depth ahead of us, over
-        // `workers` servers) plus our own service time.
+        // predicted completion is queue drain (the groups ahead of us,
+        // over `workers` servers) plus our own service time.
         const double est = estimator_.estimateSeconds();
         if (job.deadline && est > 0.0) {
-            const double depth = double(queue_.size());
-            const double predicted =
-                (depth / double(options_.workers)) * est + est;
+            const std::size_t depth = queue_.size();
+            const double predicted = predictedCompletionSeconds(
+                depth, lanes_, options_.workers, est);
             if (now + secondsToDuration(predicted) > *job.deadline) {
                 auto out = rejectOutcome(
                     "shed",
                     "predicted completion exceeds deadline "
                     "(EWMA service estimate " +
                         std::to_string(est) + " s, queue depth " +
-                        std::to_string(std::size_t(depth)) + ")");
+                        std::to_string(depth) + ")");
                 recordRejected(out);
                 job.promise.set_value(std::move(out));
                 return future;

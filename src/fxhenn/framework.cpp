@@ -11,6 +11,7 @@ Fxhenn::generate(const nn::Network &net, const ckks::CkksParams &params,
 {
     hecnn::CompileOptions copts;
     copts.elideValues = options.elideValues;
+    copts.matVec = options.matVec;
     auto plan = hecnn::compile(net, params, copts);
 
     auto result = dse::explore(plan, device, options.explore);
@@ -44,6 +45,7 @@ Fxhenn::generateBaseline(const nn::Network &net,
 {
     hecnn::CompileOptions copts;
     copts.elideValues = options.elideValues;
+    copts.matVec = options.matVec;
     const auto plan = hecnn::compile(net, params, copts);
     return dse::allocateBaseline(plan, device);
 }

@@ -18,6 +18,7 @@
 #include "src/dse/baseline.hpp"
 #include "src/dse/explorer.hpp"
 #include "src/fpga/device.hpp"
+#include "src/hecnn/compiler.hpp"
 #include "src/nn/network.hpp"
 
 namespace fxhenn {
@@ -60,6 +61,8 @@ struct FxhennOptions
 {
     /** Compile stats-only (required for CIFAR10-scale weights). */
     bool elideValues = false;
+    /** Dense-layer lowering (lola reproduces the paper's op counts). */
+    hecnn::MatVecLowering matVec = hecnn::MatVecLowering::costModel;
     /** Forwarded to the explorer (budget sweeps etc.). */
     dse::ExploreOptions explore;
 };

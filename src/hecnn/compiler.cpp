@@ -1,6 +1,8 @@
 #include "src/hecnn/compiler.hpp"
 
 #include <functional>
+#include <limits>
+#include <set>
 
 #include "src/common/assert.hpp"
 #include "src/common/math_util.hpp"
@@ -16,6 +18,30 @@ namespace {
 using RowVisitor =
     std::function<void(std::size_t row,
                        const std::function<void(std::size_t, double)> &)>;
+
+/**
+ * One lowering of a replicated dense layer (compileMatVecReplicated):
+ * Rp rows per vpad-slot replica block, n1 hoisted baby steps times
+ * Rp/n1 giant steps, the replica count and the merged output layout.
+ */
+struct MatVecShape
+{
+    std::size_t rowsPerBlock = 1; ///< Rp, a power of two <= vpad
+    std::size_t babySteps = 1;    ///< n1, a power of two dividing Rp
+    std::size_t replicas = 1;     ///< input blocks built by doubling
+    bool contiguous = false;      ///< merged row r lands at slot r
+
+    /**
+     * Blocks of the @p copies replica blocks that compute rows in each
+     * row group (every group but the last fills all of them).
+     */
+    std::size_t
+    blocks(std::size_t outRows, std::size_t copies) const
+    {
+        return std::min<std::size_t>(copies,
+                                     divCeil(outRows, rowsPerBlock));
+    }
+};
 
 /** Builds one HeNetworkPlan; transient state machine. */
 class PlanBuilder
@@ -108,30 +134,39 @@ class PlanBuilder
     }
 
     /**
-     * Emit a rotation by @p step, decomposed into signed power-of-two
-     * sub-rotations when the option is set (dst may alias src).
+     * The steps of the rotations one rotation by @p step is emitted
+     * as: signed power-of-two sub-rotations, low bit first, when the
+     * decomposeRotations option is set and |step| is not a power of
+     * two; otherwise @p step itself.
      */
+    std::vector<std::int32_t>
+    rotationParts(std::int32_t step) const
+    {
+        const std::int32_t sign = step < 0 ? -1 : 1;
+        const auto magnitude = static_cast<std::uint32_t>(sign * step);
+        if (!options_.decomposeRotations || step == 0 ||
+            isPowerOfTwo(magnitude))
+            return {step};
+        std::vector<std::int32_t> parts;
+        for (std::uint32_t rest = magnitude, bit = 1; rest != 0;
+             bit <<= 1) {
+            if (rest & bit) {
+                parts.push_back(sign * static_cast<std::int32_t>(bit));
+                rest &= ~bit;
+            }
+        }
+        return parts;
+    }
+
+    /** Emit a rotation by @p step as rotationParts (dst may alias src). */
     void
     emitRotate(HeLayerPlan &lp, std::int32_t dst, std::int32_t src,
                std::int32_t step)
     {
-        if (!options_.decomposeRotations || step == 0 ||
-            (step & (step - 1)) == 0 ||
-            (-step > 0 && ((-step) & (-step - 1)) == 0)) {
-            emit(lp, HeOpKind::rotate, dst, src, -1, step);
-            return;
-        }
-        const std::int32_t sign = step < 0 ? -1 : 1;
-        std::uint32_t magnitude =
-            static_cast<std::uint32_t>(sign * step);
         std::int32_t current = src;
-        for (std::uint32_t bit = 1; magnitude != 0; bit <<= 1) {
-            if (magnitude & bit) {
-                emit(lp, HeOpKind::rotate, dst, current, -1,
-                     sign * static_cast<std::int32_t>(bit));
-                current = dst;
-                magnitude &= ~bit;
-            }
+        for (const std::int32_t part : rotationParts(step)) {
+            emit(lp, HeOpKind::rotate, dst, current, -1, part);
+            current = dst;
         }
     }
 
@@ -396,32 +431,186 @@ class PlanBuilder
         const std::size_t v = layout_.elements();
         const std::size_t vpad = std::size_t(1) << ceilLog2(v);
         if (layout_.isContiguousSingleReg() && vpad * 2 <= slots_) {
-            compileMatVecReplicated(name, out_rows, v, vpad, rows, bias,
+            compileMatVecReplicated(name, out_rows, vpad, rows, bias,
                                     merge);
         } else {
             compileMatVecGeneral(name, out_rows, rows, bias, merge);
         }
     }
 
-    /** Replicated path: one contiguous input ciphertext (Fig. 3 style). */
+    /** Cost-model weight of one keyswitch at @p level (its limbs). */
+    static double
+    keyswitchWeight(std::size_t level)
+    {
+        return static_cast<double>(level + 1);
+    }
+
+    /**
+     * Cost of a replicated mat-vec shape at input level @p level,
+     * mirroring the emission in compileMatVecReplicated without
+     * building any plaintext: every keyswitch weighted by the level it
+     * runs at, a hoisted baby step (one that shares the first member's
+     * digit decomposition) at kHoistedMemberCost of a full rotation
+     * (bench_kernels' BM_RotateFourHoisted vs BM_RotateFourSequential:
+     * the per-member inner product and mod-down are 0.6-0.7 of it),
+     * and every rotation step the plan has no Galois key for yet at
+     * kNewKeyCost top-level keyswitches: a key is generated once, but
+     * its 2(L+1)(L+2)N words are the largest state a step adds, so a
+     * shape needing fresh keys must save more than a few rotations.
+     */
+    double
+    matVecCost(const MatVecShape &shape, std::size_t out_rows,
+               std::size_t vpad, std::size_t level, bool merge,
+               const std::set<std::int32_t> &keyed) const
+    {
+        constexpr double kHoistedMemberCost = 0.65;
+        constexpr double kNewKeyCost = 2.0;
+        const std::size_t rp = shape.rowsPerBlock;
+        const std::size_t n1 = shape.babySteps;
+        const std::size_t n2 = rp / n1;
+        const std::size_t blocks = shape.blocks(out_rows, slots_ / vpad);
+        const std::size_t groups = divCeil(out_rows, blocks * rp);
+
+        // Each keyswitch emitRotate emits for a rotation by `step`
+        // costs `weight`; a step of 0 emits nothing.
+        double cost = 0.0;
+        std::set<std::int32_t> steps;
+        auto rotation = [&](std::int32_t step, double weight) {
+            if (step == 0)
+                return;
+            for (const std::int32_t part : rotationParts(step)) {
+                cost += weight;
+                steps.insert(part);
+            }
+        };
+        auto asStep = [](std::size_t step) {
+            return static_cast<std::int32_t>(step);
+        };
+        const double top = keyswitchWeight(level);
+        for (std::size_t block = 1; block < shape.replicas; block <<= 1)
+            rotation(-asStep(vpad * block), top);
+        const bool hoisted = n1 > 2 && !options_.decomposeRotations;
+        for (std::size_t b = 1; b < n1; ++b)
+            rotation(asStep(b),
+                     hoisted && b > 1 ? kHoistedMemberCost * top : top);
+        const double mid = keyswitchWeight(level - 1);
+        for (std::size_t g = 0; g < groups; ++g) {
+            for (std::size_t gs = 1; gs < n2; ++gs)
+                rotation(asStep(gs * n1), mid);
+            for (std::size_t step = vpad / 2; step >= rp; step >>= 1)
+                rotation(asStep(step), mid);
+            if (!merge)
+                continue;
+            const std::size_t rows_here =
+                std::min(blocks * rp, out_rows - g * blocks * rp);
+            const std::size_t unit =
+                shape.contiguous ? 1 : divCeil(rows_here, rp);
+            for (std::size_t c0 = 0; c0 * rp < rows_here; c0 += unit)
+                rotation(gatherShift(shape, vpad, blocks, g, c0),
+                         keyswitchWeight(level - 2));
+        }
+        for (const std::int32_t step : steps)
+            if (keyed.count(step) == 0)
+                cost += kNewKeyCost * keyswitchWeight(params_.levels);
+        return cost;
+    }
+
+    /**
+     * The rotation that moves the merged heads of group @p g's blocks
+     * starting at @p c0 into place: LoLa parks block c's row at slot
+     * c*vpad + g (one mask and one shift per group), the contiguous
+     * layout moves each block's Rp rows to slots row..row+Rp-1.
+     */
+    static std::int32_t
+    gatherShift(const MatVecShape &shape, std::size_t vpad,
+                std::size_t blocks, std::size_t g, std::size_t c0)
+    {
+        const std::size_t rp = shape.rowsPerBlock;
+        if (!shape.contiguous)
+            return -static_cast<std::int32_t>(g * rp);
+        return static_cast<std::int32_t>(c0 * vpad) -
+               static_cast<std::int32_t>((g * blocks + c0) * rp);
+    }
+
+    /** Pick the replicated lowering shape of one dense layer. */
+    MatVecShape
+    chooseMatVecShape(std::size_t out_rows, std::size_t vpad,
+                      bool merge) const
+    {
+        const std::size_t copies = slots_ / vpad;
+        MatVecShape best{1, 1, copies, false};
+        if (options_.matVec == MatVecLowering::lola)
+            return best;
+        const std::set<std::int32_t> keyed = plan_.rotationSteps();
+        double best_cost = std::numeric_limits<double>::infinity();
+        for (std::size_t rp = 1; rp <= vpad; rp <<= 1) {
+            MatVecShape shape{rp, 1, copies, merge};
+            // Replicas cover the used blocks, plus the next one that
+            // the diagonals' rotations read into (the ring wraps
+            // cyclically once every block is a replica).
+            const std::size_t blocks = shape.blocks(out_rows, copies);
+            if (blocks < copies) {
+                shape.replicas = std::min<std::size_t>(
+                    copies, std::size_t(1)
+                                << ceilLog2(blocks + (rp > 1 ? 1 : 0)));
+            }
+            for (std::size_t n1 = 1; n1 <= rp; n1 <<= 1) {
+                shape.babySteps = n1;
+                const double cost =
+                    matVecCost(shape, out_rows, vpad, level_, merge, keyed);
+                if (cost < best_cost) {
+                    best_cost = cost;
+                    best = shape;
+                }
+            }
+        }
+        return best;
+    }
+
+    /**
+     * Replicated path: one contiguous input ciphertext (Fig. 3 style),
+     * lowered as Halevi-Shoup hybrid diagonals with baby-step/giant-step
+     * rotations.
+     *
+     * The input is replicated into vpad-slot blocks. Each block c of a
+     * row group computes Rp rows: diagonal i holds, at block slot t,
+     * W[row(c, t mod Rp)][(t + i) mod vpad], so the sum over i of
+     * diagonal i times the input rotated by i, folded by a
+     * log2(vpad/Rp) rotate-and-sum, leaves row (c, j) at slot
+     * c*vpad + j. The Rp input rotations split as i = gs*n1 + b: the
+     * n1 - 1 baby steps rotate the input once for every group, and each
+     * giant step gs rotates one partial sum whose diagonals were
+     * pre-rotated by -gs*n1. Rp = 1 is LoLa's lowering.
+     */
     void
     compileMatVecReplicated(const std::string &name, std::size_t out_rows,
-                            std::size_t v, std::size_t vpad,
-                            const RowVisitor &rows,
+                            std::size_t vpad, const RowVisitor &rows,
                             const std::function<double(std::size_t)> &bias,
                             bool merge)
     {
-        const std::size_t copies = slots_ / vpad;
-        const std::size_t groups = divCeil(out_rows, copies);
-        HeLayerPlan &lp = beginLayer(name, groups);
+        FXHENN_FATAL_IF(merge && out_rows > slots_,
+                        "merged dense output exceeds slot count");
+        const MatVecShape shape = chooseMatVecShape(out_rows, vpad, merge);
+        const std::size_t rp = shape.rowsPerBlock;
+        const std::size_t n1 = shape.babySteps;
+        const std::size_t n2 = rp / n1;
+        const std::size_t blocks = shape.blocks(out_rows, slots_ / vpad);
+        const std::size_t per_group = blocks * rp;
+        const std::size_t groups = divCeil(out_rows, per_group);
+        HeLayerPlan &lp = beginLayer(name, groups * n2);
+        // Row k of a group is row k % Rp of block k / Rp; its result
+        // lands at this slot.
+        auto head = [rp, vpad](std::size_t k) {
+            return (k / rp) * vpad + k % rp;
+        };
 
         const std::int32_t src = layout_.regs[0];
         const std::int32_t rep = newReg();
         const std::int32_t tmp = newReg();
 
-        // Replicate the vector into `copies` aligned blocks by doubling.
+        // Replicate the vector into aligned blocks by doubling.
         emit(lp, HeOpKind::copy, rep, src);
-        for (std::size_t block = 1; block < copies; block <<= 1) {
+        for (std::size_t block = 1; block < shape.replicas; block <<= 1) {
             emit(lp, HeOpKind::rotate, tmp, rep, -1,
                  -static_cast<std::int32_t>(vpad * block));
             emit(lp, HeOpKind::ccAdd, rep, tmp);
@@ -431,71 +620,111 @@ class PlanBuilder
         const std::int32_t masked = newReg();
         const std::int32_t out = merge ? newReg() : -1;
 
+        // Baby steps: one run of same-source rotations of the replica,
+        // shared by every row group.
+        std::vector<std::int32_t> baby{rep};
+        for (std::size_t b = 1; b < n1; ++b)
+            baby.push_back(newReg());
+        for (std::size_t b = 1; b < n1; ++b)
+            emitRotate(lp, baby[b], rep, static_cast<std::int32_t>(b));
+        const std::int32_t part = n1 > 1 ? newReg() : -1;
+        const std::int32_t inner = n2 > 1 ? newReg() : -1;
+
         SlotLayout out_layout;
         out_layout.pos.resize(out_rows);
 
         for (std::size_t g = 0; g < groups; ++g) {
+            const std::size_t row0 = g * per_group;
             const std::size_t rows_here =
-                std::min(copies, out_rows - g * copies);
+                std::min(per_group, out_rows - row0);
 
-            // Filled even for elided plans: the slot vector is
-            // transient there, but its maxAbs feeds the certifier.
-            std::vector<double> w(slots_, 0.0);
+            // Row k's weight on element e sits in the one diagonal i
+            // with t = e - i = k (mod Rp), pre-rotated by its giant
+            // step. Filled even for elided plans: the slot vectors are
+            // transient there, but their maxAbs feeds the certifier.
+            std::vector<std::vector<double>> diag(
+                rp, std::vector<double>(slots_, 0.0));
             for (std::size_t k = 0; k < rows_here; ++k) {
-                rows(g * copies + k,
-                     [&](std::size_t e, double weight) {
-                         w[k * vpad + e] += weight;
-                     });
+                const std::size_t c = k / rp;
+                const std::size_t j = k % rp;
+                rows(row0 + k, [&](std::size_t e, double weight) {
+                    const std::size_t i = (e % rp + rp - j) % rp;
+                    const std::size_t t = (e + vpad - i) % vpad;
+                    const std::size_t slot =
+                        (c * vpad + t + (i / n1) * n1) % slots_;
+                    diag[i][slot] += weight;
+                });
             }
-            const std::int32_t w_pt =
-                addPlaintext(std::move(w), level_, true);
-            emit(lp, HeOpKind::pcMult, work, rep, w_pt);
-            emit(lp, HeOpKind::rescale, work, work);
+            for (std::size_t gs = 0; gs < n2; ++gs) {
+                const std::int32_t acc = gs == 0 ? work : inner;
+                for (std::size_t b = 0; b < n1; ++b) {
+                    const std::int32_t pt = addPlaintext(
+                        std::move(diag[gs * n1 + b]), level_, true);
+                    emit(lp, HeOpKind::pcMult, b == 0 ? acc : part,
+                         baby[b], pt);
+                    if (b > 0)
+                        emit(lp, HeOpKind::ccAdd, acc, part);
+                }
+                emit(lp, HeOpKind::rescale, acc, acc);
+                if (gs > 0) {
+                    emitRotate(lp, inner, inner,
+                               static_cast<std::int32_t>(gs * n1));
+                    emit(lp, HeOpKind::ccAdd, work, inner);
+                }
+            }
 
-            // Rotate-and-sum within each vpad-aligned block.
-            for (std::size_t step = vpad / 2; step >= 1; step >>= 1) {
+            // Rotate-and-sum the Rp-strided partials of each block.
+            for (std::size_t step = vpad / 2; step >= rp; step >>= 1) {
                 emit(lp, HeOpKind::rotate, tmp, work, -1,
                      static_cast<std::int32_t>(step));
                 emit(lp, HeOpKind::ccAdd, work, tmp);
             }
 
             if (merge) {
-                // Extract the block heads and park row g*copies+k at
-                // slot k*vpad + g via one mask and one rotation.
-                std::vector<double> mask(slots_, 0.0);
-                for (std::size_t k = 0; k < rows_here; ++k)
-                    mask[k * vpad] = 1.0;
-                const std::int32_t mask_pt =
-                    addPlaintext(std::move(mask), level_ - 1, true);
-                emit(lp, HeOpKind::pcMult, masked, work, mask_pt);
-                emit(lp, HeOpKind::rescale, masked, masked);
-                if (g > 0) {
-                    emitRotate(lp, masked, masked,
-                               -static_cast<std::int32_t>(g));
-                }
-                if (g == 0) {
-                    emit(lp, HeOpKind::copy, out, masked);
-                } else {
-                    emit(lp, HeOpKind::ccAdd, out, masked);
-                }
-                for (std::size_t k = 0; k < rows_here; ++k) {
-                    out_layout.pos[g * copies + k] = {
-                        out,
-                        static_cast<std::int32_t>(k * vpad + g)};
+                // Extract the block heads with one mask per gather
+                // unit (every block for LoLa, one block otherwise)
+                // and rotate them into place.
+                const std::size_t blocks_here = divCeil(rows_here, rp);
+                const std::size_t unit =
+                    shape.contiguous ? 1 : blocks_here;
+                for (std::size_t c0 = 0; c0 < blocks_here; c0 += unit) {
+                    const std::size_t k_end =
+                        std::min(rows_here, (c0 + unit) * rp);
+                    std::vector<double> mask(slots_, 0.0);
+                    for (std::size_t k = c0 * rp; k < k_end; ++k)
+                        mask[head(k)] = 1.0;
+                    const std::int32_t mask_pt =
+                        addPlaintext(std::move(mask), level_ - 1, true);
+                    emit(lp, HeOpKind::pcMult, masked, work, mask_pt);
+                    emit(lp, HeOpKind::rescale, masked, masked);
+                    const std::int32_t shift =
+                        gatherShift(shape, vpad, blocks, g, c0);
+                    if (shift != 0)
+                        emitRotate(lp, masked, masked, shift);
+                    if (g == 0 && c0 == 0) {
+                        emit(lp, HeOpKind::copy, out, masked);
+                    } else {
+                        emit(lp, HeOpKind::ccAdd, out, masked);
+                    }
+                    for (std::size_t k = c0 * rp; k < k_end; ++k) {
+                        out_layout.pos[row0 + k] = {
+                            out,
+                            static_cast<std::int32_t>(head(k)) - shift};
+                    }
                 }
             } else {
-                // Keep the group register; heads live at k*vpad.
+                // Keep the group register; rows stay at their heads.
                 const std::int32_t kept = newReg();
                 emit(lp, HeOpKind::copy, kept, work);
                 std::vector<double> b(slots_, 0.0);
                 for (std::size_t k = 0; k < rows_here; ++k)
-                    b[k * vpad] = bias(g * copies + k);
+                    b[head(k)] = bias(row0 + k);
                 const std::int32_t b_pt =
                     addPlaintext(std::move(b), level_ - 1, false);
                 emit(lp, HeOpKind::pcAdd, kept, kept, b_pt);
                 for (std::size_t k = 0; k < rows_here; ++k) {
-                    out_layout.pos[g * copies + k] = {
-                        kept, static_cast<std::int32_t>(k * vpad)};
+                    out_layout.pos[row0 + k] = {
+                        kept, static_cast<std::int32_t>(head(k))};
                 }
                 out_layout.regs.push_back(kept);
             }
@@ -504,7 +733,8 @@ class PlanBuilder
         if (merge) {
             std::vector<double> b(slots_, 0.0);
             for (std::size_t r = 0; r < out_rows; ++r)
-                b[(r % copies) * vpad + r / copies] = bias(r);
+                b[static_cast<std::size_t>(out_layout.pos[r].second)] =
+                    bias(r);
             const std::int32_t b_pt =
                 addPlaintext(std::move(b), level_ - 2, false);
             emit(lp, HeOpKind::pcAdd, out, out, b_pt);
@@ -513,7 +743,6 @@ class PlanBuilder
         } else {
             consumeLevel(1);
         }
-        (void)v;
         finishLayer(lp, std::move(out_layout));
     }
 

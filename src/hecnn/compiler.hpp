@@ -16,14 +16,26 @@
  *  - Dense (and mid-network convolution via implicit im2col): the
  *    rotate-and-sum matrix-vector product of Sec. V-A. When the input is
  *    one ciphertext with contiguous elements, the vector is replicated
- *    into slots/vpad copies and whole row groups are processed by a
- *    single PCmult + log2(vpad) Rotate/CCadd pipeline; otherwise each
- *    row is reduced with a full-width rotate-and-sum. Both are KS
- *    layers dominated by Rotate.
+ *    into vpad-slot blocks and the layer uses the Halevi-Shoup hybrid
+ *    diagonal lowering: every block computes Rp rows from Rp packed
+ *    diagonals, the Rp rotations of the replicated input run
+ *    baby-step/giant-step (the baby steps are one run of same-source
+ *    rotations, so they execute hoisted; the giant-step diagonals are
+ *    pre-rotated), and a log2(vpad/Rp) rotate-and-sum folds each block.
+ *    Rp = 1 is LoLa's lowering: one row per block, whole row groups per
+ *    PCmult + log2(vpad) Rotate/CCadd pipeline. A per-layer analytic
+ *    cost model (keyswitches weighted by level, a hoisted baby step
+ *    cheaper than a full rotation) picks Rp and the baby-step count;
+ *    CompileOptions::matVec = lola pins Rp = 1 for the paper
+ *    reproduction. Any other input layout reduces each row with a
+ *    full-width rotate-and-sum. All are KS layers dominated by Rotate.
  *
  * Non-final dense layers merge their scattered row results into one
  * ciphertext with mask multiplies (one extra level); the final layer
  * leaves results scattered so the total depth fits L = 7 (Sec. VII-A).
+ * The cost-model lowering masks each block and rotates it into place,
+ * so row r lands in slot r and the next dense layer can take the
+ * replicated path again; LoLa leaves row g*copies+k at slot k*vpad+g.
  */
 #ifndef FXHENN_HECNN_COMPILER_HPP
 #define FXHENN_HECNN_COMPILER_HPP
@@ -33,6 +45,13 @@
 #include "src/nn/network.hpp"
 
 namespace fxhenn::hecnn {
+
+/** How replicated dense layers are lowered (CompileOptions::matVec). */
+enum class MatVecLowering
+{
+    costModel, ///< diagonal BSGS, shape chosen per layer by cost
+    lola,      ///< one output row per replica block (the paper's)
+};
 
 /** Compiler knobs. */
 struct CompileOptions
@@ -102,6 +121,15 @@ struct CompileOptions
      * otherwise).
      */
     std::size_t batchLanes = 1;
+
+    /**
+     * Lowering of replicated (one contiguous input ciphertext) dense
+     * layers. costModel picks the rows-per-block and baby-step counts
+     * of the diagonal BSGS lowering per layer; lola pins one row per
+     * block, the paper's LoLa-style packing, whose op counts the
+     * table/figure reproduction benches report.
+     */
+    MatVecLowering matVec = MatVecLowering::costModel;
 };
 
 /** Lower @p net under CKKS parameters @p params. */

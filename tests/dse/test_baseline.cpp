@@ -8,12 +8,21 @@
 namespace fxhenn::dse {
 namespace {
 
+/** The Table IX baseline is sized for the paper's LoLa lowering. */
+hecnn::CompileOptions
+lolaOptions()
+{
+    hecnn::CompileOptions options;
+    options.matVec = hecnn::MatVecLowering::lola;
+    return options;
+}
+
 class BaselineTest : public ::testing::Test
 {
   protected:
     BaselineTest()
         : plan_(hecnn::compile(nn::buildMnistNetwork(),
-                               ckks::mnistParams())),
+                               ckks::mnistParams(), lolaOptions())),
           device_(fpga::acu9eg())
     {}
 

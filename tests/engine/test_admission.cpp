@@ -73,6 +73,30 @@ TEST(ServiceTimeEstimatorTest, InvalidAlphaIsConfigError)
     EXPECT_THROW(ServiceTimeEstimator(1.5), ConfigError);
 }
 
+TEST(ShedPredictorTest, UnbatchedQueueCountsEveryRequest)
+{
+    // B = 1: each queued request is one run ahead of us.
+    EXPECT_DOUBLE_EQ(predictedCompletionSeconds(3, 1, 1, 0.5), 2.0);
+    EXPECT_DOUBLE_EQ(predictedCompletionSeconds(4, 1, 2, 0.5), 1.5);
+    EXPECT_DOUBLE_EQ(predictedCompletionSeconds(0, 1, 1, 0.5), 0.5);
+}
+
+TEST(ShedPredictorTest, BatchedQueueCountsGroupsNotRequests)
+{
+    // B = 16, service EWMA 1 s per group run: a request queued behind
+    // fewer than B others waits for at most one run, so a deadline
+    // above 2x the estimate admits it (the per-request count predicted
+    // 16 s and shed it).
+    const double est = 1.0;
+    const double deadline = 2.5 * est;
+    const double predicted = predictedCompletionSeconds(15, 16, 1, est);
+    EXPECT_DOUBLE_EQ(predicted, 2.0 * est);
+    EXPECT_LE(predicted, deadline) << "request would be shed";
+    // Past one full group the wait grows by one run per group.
+    EXPECT_DOUBLE_EQ(predictedCompletionSeconds(17, 16, 1, est), 3.0);
+    EXPECT_DOUBLE_EQ(predictedCompletionSeconds(32, 16, 2, est), 2.0);
+}
+
 TEST(RetryBackoffTest, DoublesUpToTheCap)
 {
     RetryOptions retry;

@@ -75,8 +75,10 @@ TEST(BufferModel, Eq9InterScalingIsLinearForKs)
 {
     // With enough KeySwitch ops in the layer, doubling P_inter doubles
     // the per-pipeline extension buffers but not the shared staging.
-    const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+    hecnn::CompileOptions lola;
+    lola.matVec = hecnn::MatVecLowering::lola;
+    const auto plan = hecnn::compile(nn::buildMnistNetwork(),
+                                     ckks::mnistParams(), lola);
     const auto &fc1 = plan.layers[2]; // 276 KS ops: inter is effective
     ModuleAllocation one, two;
     for (auto &op : one.ops)

@@ -7,12 +7,21 @@
 namespace fxhenn::fpga {
 namespace {
 
+/** Table IV ratios are the paper's LoLa lowering's. */
+hecnn::CompileOptions
+lolaOptions()
+{
+    hecnn::CompileOptions options;
+    options.matVec = hecnn::MatVecLowering::lola;
+    return options;
+}
+
 class LayerModelTest : public ::testing::Test
 {
   protected:
     LayerModelTest()
         : plan_(hecnn::compile(nn::buildMnistNetwork(),
-                               ckks::mnistParams()))
+                               ckks::mnistParams(), lolaOptions()))
     {
         for (auto &op : base_.ops)
             op = {2, 1, 1};

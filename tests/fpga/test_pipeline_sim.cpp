@@ -7,6 +7,16 @@
 namespace fxhenn::fpga {
 namespace {
 
+/** FxHENN-MNIST under the paper's LoLa dense lowering. */
+hecnn::HeNetworkPlan
+mnistLolaPlan()
+{
+    hecnn::CompileOptions options;
+    options.matVec = hecnn::MatVecLowering::lola;
+    return hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
+                          options);
+}
+
 TEST(PipelineSim, SingleStageSingleServerIsSerial)
 {
     std::vector<SimStage> stages{{100.0, 1}};
@@ -55,8 +65,7 @@ TEST_P(SimVsModelTest, SimulatorAgreesWithClosedFormPerLayer)
 {
     // The event-driven schedule must land within 25 % of the Eq. 1-3
     // closed form for every layer and several parallelism settings.
-    const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+    const auto plan = mnistLolaPlan();
     const unsigned inter = GetParam();
 
     ModuleAllocation alloc;
@@ -82,8 +91,7 @@ TEST(PipelineSim, FineGrainedPipelineBeatsSerial)
 {
     // Fig. 2's claim: the pipelined NKS layer beats coarse serial
     // execution substantially.
-    const auto plan =
-        hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
+    const auto plan = mnistLolaPlan();
     ModuleAllocation alloc;
     for (auto &op : alloc.ops)
         op = {2, 1, 1};

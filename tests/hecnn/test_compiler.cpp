@@ -43,12 +43,48 @@ TEST(Compiler, MnistTotalsAreSameOrderAsPaper)
     // LoLa-style reimplementation, not slot-for-slot identical, so we
     // require the same order of magnitude rather than equality.
     const auto net = nn::buildMnistNetwork();
-    const auto plan = compile(net, ckks::mnistParams());
+    CompileOptions lola;
+    lola.matVec = MatVecLowering::lola;
+    const auto plan = compile(net, ckks::mnistParams(), lola);
     const HeOpCounts total = plan.totalCounts();
     EXPECT_GT(total.total(), 400u);
     EXPECT_LT(total.total(), 2500u);
     EXPECT_GT(total.keySwitch(), 150u);
     EXPECT_LT(total.keySwitch(), 800u);
+}
+
+TEST(Compiler, LolaMnistKeepsPaperReproductionLayerCounts)
+{
+    // The paper-reproduction lowering is frozen: these are the counts
+    // every table/figure bench reports.
+    CompileOptions lola;
+    lola.matVec = MatVecLowering::lola;
+    const auto plan =
+        compile(nn::buildMnistNetwork(), ckks::mnistParams(), lola);
+    ASSERT_EQ(plan.layers.size(), 5u);
+    EXPECT_EQ(plan.layers[2].counts().keySwitch(), 276u);
+    EXPECT_EQ(plan.layers[2].counts().total(), 653u);
+    EXPECT_EQ(plan.layers[4].counts().keySwitch(), 120u);
+    EXPECT_EQ(plan.totalCounts().keySwitch(), 398u);
+    EXPECT_EQ(plan.totalCounts().total(), 1004u);
+}
+
+TEST(Compiler, MnistKeyswitchGateSeparatesLowerings)
+{
+    // The diagonal BSGS lowering's keyswitch budget. The same bounds
+    // applied to the LoLa plan fail, so the gate can tell them apart.
+    const auto net = nn::buildMnistNetwork();
+    const auto fast = compile(net, ckks::mnistParams());
+    EXPECT_LE(fast.layers[2].counts().keySwitch(), 32u);
+    EXPECT_LE(fast.layers[4].counts().keySwitch(), 16u);
+    EXPECT_LE(fast.totalCounts().keySwitch(), 50u);
+
+    CompileOptions lola;
+    lola.matVec = MatVecLowering::lola;
+    const auto paper = compile(net, ckks::mnistParams(), lola);
+    EXPECT_EQ(paper.layers[2].counts().keySwitch(), 276u);
+    EXPECT_EQ(paper.layers[4].counts().keySwitch(), 120u);
+    EXPECT_EQ(paper.totalCounts().keySwitch(), 398u);
 }
 
 TEST(Compiler, MnistConsumesExactlySixLevels)
