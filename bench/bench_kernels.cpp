@@ -32,6 +32,7 @@
 #include "src/common/rng.hpp"
 #include "src/dse/sim_backend_install.hpp"
 #include "src/hecnn/backend.hpp"
+#include "src/hecnn/client_session.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
 #include "src/modarith/ntt.hpp"
@@ -310,6 +311,103 @@ BM_Encode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Encode);
+
+/** FxHENN-MNIST client + one level-7 product at the paper's
+ * parameters (N = 8192, L = 7), shared by the encrypt/rescale rows. */
+struct MnistBench
+{
+    MnistBench()
+        : net(nn::buildMnistNetwork()), params(ckks::mnistParams()),
+          plan(hecnn::compile(net, params)), ctx(params),
+          session(plan, ctx, /*seed=*/1), input(nn::syntheticInput(net, 7))
+    {
+        const ckks::Encoder encoder(ctx);
+        std::vector<double> values(ctx.slots(), 0.5);
+        const auto pt = encoder.encode(std::span<const double>(values),
+                                       ctx.params().scale, 7);
+        ckks::Evaluator eval(ctx);
+        product = eval.mulPlain(session.encryptInput(input, 0).front(), pt);
+    }
+
+    nn::Network net;
+    ckks::CkksParams params;
+    hecnn::HeNetworkPlan plan;
+    ckks::CkksContext ctx;
+    hecnn::ClientSession session;
+    nn::Tensor input;
+    ckks::Ciphertext product;
+};
+
+MnistBench &
+mnistFixture()
+{
+    static MnistBench bench;
+    return bench;
+}
+
+void
+BM_EncryptInputMnist(benchmark::State &state)
+{
+    // One MNIST request's client side: pack, encode and encrypt the 25
+    // input ciphertexts (division-free sampling and encoding).
+    auto &f = mnistFixture();
+    std::uint64_t index = 0;
+    for (auto _ : state) {
+        auto cts = f.session.encryptInput(f.input, index++);
+        benchmark::DoNotOptimize(cts);
+    }
+}
+BENCHMARK(BM_EncryptInputMnist)->Iterations(10)->Unit(benchmark::kMillisecond);
+
+void
+BM_EncryptInputMnistScalar(benchmark::State &state)
+{
+    // Scalar-reference column for BM_EncryptInputMnist: dispatch pinned
+    // to the scalar kernels, telemetry muted like the other reference
+    // rows.
+    auto &f = mnistFixture();
+    simd::ScopedLevel pin(simd::Level::scalar);
+    telemetry::setEnabled(false);
+    std::uint64_t index = 0;
+    for (auto _ : state) {
+        auto cts = f.session.encryptInput(f.input, index++);
+        benchmark::DoNotOptimize(cts);
+    }
+    telemetry::setEnabled(true);
+}
+BENCHMARK(BM_EncryptInputMnistScalar)
+    ->Iterations(5)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_RescaleL7(benchmark::State &state)
+{
+    // Rescale of a level-7 MNIST ciphertext: NTT-domain limb drop, one
+    // inverse NTT per part.
+    auto &f = mnistFixture();
+    ckks::Evaluator eval(f.ctx);
+    for (auto _ : state) {
+        auto out = eval.rescale(f.product);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_RescaleL7)->Iterations(200);
+
+void
+BM_RescaleL7Scalar(benchmark::State &state)
+{
+    // Scalar-reference column for BM_RescaleL7, telemetry muted.
+    auto &f = mnistFixture();
+    ckks::Evaluator eval(f.ctx);
+    simd::ScopedLevel pin(simd::Level::scalar);
+    telemetry::setEnabled(false);
+    for (auto _ : state) {
+        auto out = eval.rescale(f.product);
+        benchmark::DoNotOptimize(out);
+    }
+    telemetry::setEnabled(true);
+}
+BENCHMARK(BM_RescaleL7Scalar)->Iterations(100);
 
 void
 BM_EncryptedInference(benchmark::State &state)

@@ -27,13 +27,14 @@ Encoder::fftSpecial(std::vector<std::complex<double>> &vals) const
             std::swap(vals[i], vals[j]);
     }
 
+    // lenq is a power of two, so rot[j] % lenq is a mask.
     for (std::size_t len = 2; len <= size; len <<= 1) {
         const std::size_t lenh = len >> 1;
         const std::size_t lenq = len << 2;
+        const std::size_t gap = m / lenq;
         for (std::size_t i = 0; i < size; i += len) {
             for (std::size_t j = 0; j < lenh; ++j) {
-                const std::size_t idx =
-                    (rot[j] % lenq) * (m / lenq);
+                const std::size_t idx = (rot[j] & (lenq - 1)) * gap;
                 const auto u = vals[i + j];
                 const auto v = vals[i + j + lenh] * roots[idx];
                 vals[i + j] = u + v;
@@ -54,10 +55,11 @@ Encoder::fftSpecialInv(std::vector<std::complex<double>> &vals) const
     for (std::size_t len = size; len >= 2; len >>= 1) {
         const std::size_t lenh = len >> 1;
         const std::size_t lenq = len << 2;
+        const std::size_t gap = m / lenq;
         for (std::size_t i = 0; i < size; i += len) {
             for (std::size_t j = 0; j < lenh; ++j) {
                 const std::size_t idx =
-                    (lenq - (rot[j] % lenq)) * (m / lenq);
+                    (lenq - (rot[j] & (lenq - 1))) * gap;
                 const auto u = vals[i + j] + vals[i + j + lenh];
                 const auto v =
                     (vals[i + j] - vals[i + j + lenh]) * roots[idx];
@@ -92,25 +94,21 @@ Encoder::encode(std::span<const std::complex<double>> values, double scale,
 
     fftSpecialInv(slots);
 
-    const std::uint64_t n = context_.n();
-    const RnsBasis &basis = context_.basis();
-    RnsPoly poly(basis, level, /*withSpecial=*/false, PolyDomain::coeff);
-    for (std::size_t limb = 0; limb < level; ++limb) {
-        const Modulus &q = basis.q(limb);
-        auto dst = poly.limb(limb);
-        for (std::size_t i = 0; i < n_slots; ++i) {
-            const double re = slots[i].real() * scale;
-            const double im = slots[i].imag() * scale;
-            FXHENN_FATAL_IF(std::abs(re) > 9.2e18 || std::abs(im) > 9.2e18,
-                            "encoded coefficient overflows 63 bits; "
-                            "reduce the message magnitude or scale");
-            dst[i] = q.reduceSigned(static_cast<__int128>(
-                std::llround(re)));
-            dst[i + n_slots] = q.reduceSigned(static_cast<__int128>(
-                std::llround(im)));
-        }
+    // Round each coefficient once; every limb reduces the same integer.
+    std::vector<std::int64_t> coeffs(2 * n_slots);
+    for (std::size_t i = 0; i < n_slots; ++i) {
+        const double re = slots[i].real() * scale;
+        const double im = slots[i].imag() * scale;
+        FXHENN_FATAL_IF(std::abs(re) > 9.2e18 || std::abs(im) > 9.2e18,
+                        "encoded coefficient overflows 63 bits; "
+                        "reduce the message magnitude or scale");
+        coeffs[i] = std::llround(re);
+        coeffs[i + n_slots] = std::llround(im);
     }
-    (void)n;
+
+    RnsPoly poly(context_.basis(), level, /*withSpecial=*/false,
+                 PolyDomain::coeff);
+    poly.setSigned(coeffs);
     poly.toNtt();
     return Plaintext{std::move(poly), scale};
 }

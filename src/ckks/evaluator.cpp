@@ -1,6 +1,5 @@
 #include "src/ckks/evaluator.hpp"
 
-#include <array>
 #include <cmath>
 
 #include "src/common/assert.hpp"
@@ -219,10 +218,12 @@ Evaluator::decomposeKsw(const RnsPoly &d)
 {
     const RnsBasis &basis = context_.basis();
     const std::size_t level = d.level();
-    FXHENN_ASSERT(d.domain() == PolyDomain::coeff,
-                  "decomposition input must be in coefficient form");
+    FXHENN_ASSERT(d.domain() == PolyDomain::ntt,
+                  "decomposition input must be in NTT form");
     FXHENN_ASSERT(!d.hasSpecial(), "input must not carry the special limb");
     FXHENN_TELEM_COUNT("ckks.keyswitch.decompositions", 1);
+    RnsPoly coeff = d;
+    coeff.fromNtt();
 
     std::vector<RnsPoly> digits;
     digits.reserve(level);
@@ -241,11 +242,18 @@ Evaluator::decomposeKsw(const RnsPoly &d)
             (j < level) ? basis.q(j) : basis.specialPrime();
         const NttTables &ntt_j =
             (j < level) ? basis.ntt(j) : basis.nttSpecial();
-        const auto src = d.limb(i);
+        const auto src = coeff.limb(i);
         auto dst = digits[i].limb(j);
-        if (j == i || basis.q(i).value() < qj.value()) {
-            // Same modulus, or q_i < q_j: the [0, q_i) representative
-            // is already canonical mod q_j.
+        if (j == i) {
+            // Same modulus: the input's own NTT-domain limb, exactly
+            // the forward NTT of its coefficients.
+            const auto own = d.limb(i);
+            std::copy(own.begin(), own.end(), dst.begin());
+            return;
+        }
+        if (basis.q(i).value() < qj.value()) {
+            // q_i < q_j: the [0, q_i) representative is already
+            // canonical mod q_j.
             std::copy(src.begin(), src.end(), dst.begin());
         } else {
             // Fast (approximate) base extension: take the
@@ -336,22 +344,17 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
         }
     });
 
-    // Exact scale-down by p (ModDown), back to NTT domain; the INTT
-    // and NTT sweeps of both accumulators run as one batch each.
-    std::array<RnsPoly *, 2> batch{&u0, &u1};
-    batchFromNtt(batch);
+    // Exact scale-down by p (ModDown), in the NTT domain: only the
+    // special limb of each accumulator is inverse transformed.
     u0.modDownSpecial();
     u1.modDownSpecial();
-    batchToNtt(batch);
     return {std::move(u0), std::move(u1)};
 }
 
 std::pair<RnsPoly, RnsPoly>
-Evaluator::applyKsw(RnsPoly d, const KswKey &key)
+Evaluator::applyKsw(const RnsPoly &d, const KswKey &key)
 {
     FXHENN_TELEM_SCOPED_TIMER("ckks.time.keyswitch.ns");
-    if (d.domain() == PolyDomain::ntt)
-        d.fromNtt();
     return keyswitchCore(decomposeKsw(d), key, {});
 }
 
@@ -397,11 +400,8 @@ Evaluator::rescaleInplace(Ciphertext &a)
     FXHENN_TELEM_COUNT("ckks.limbs", a.level() * a.parts.size());
     const std::uint64_t q_last =
         context_.basis().q(a.level() - 1).value();
-    for (auto &part : a.parts) {
-        part.fromNtt();
+    for (auto &part : a.parts)
         part.rescaleLastPrime();
-        part.toNtt();
-    }
     a.scale /= static_cast<double>(q_last);
     if (fault && fault->kind == "bitflip")
         robustness::corruptResidues(a.parts[0], fault->seed);
@@ -456,9 +456,8 @@ Evaluator::rotate(const Ciphertext &a, int steps, const GaloisKeys &gk)
     FXHENN_FATAL_IF(!gk.has(elt),
                     "missing Galois key for requested rotation");
 
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    return rotateFromDigits(a, decomposeKsw(c1), elt, gk.keys.at(elt));
+    return rotateFromDigits(a, decomposeKsw(a.parts[1]), elt,
+                            gk.keys.at(elt));
 }
 
 std::vector<Ciphertext>
@@ -478,9 +477,7 @@ Evaluator::rotateHoisted(const Ciphertext &a,
     // Hoisted part (Halevi-Shoup): decompose + base-extend + NTT c1
     // once; every rotation of the group reuses the digits through its
     // own Galois gather.
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    const std::vector<RnsPoly> digits = decomposeKsw(c1);
+    const std::vector<RnsPoly> digits = decomposeKsw(a.parts[1]);
 
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
@@ -509,9 +506,8 @@ Evaluator::conjugate(const Ciphertext &a, const GaloisKeys &gk)
     const std::uint64_t elt = context_.conjugateElt();
     FXHENN_FATAL_IF(!gk.has(elt), "missing conjugation key");
 
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    return rotateFromDigits(a, decomposeKsw(c1), elt, gk.keys.at(elt));
+    return rotateFromDigits(a, decomposeKsw(a.parts[1]), elt,
+                            gk.keys.at(elt));
 }
 
 } // namespace fxhenn::ckks

@@ -177,11 +177,13 @@ class Evaluator
 
   private:
     /**
-     * ModUp half of the hybrid key switch: decompose coefficient-domain
-     * @p d (level L, no special limb) into L digits, each base-extended
-     * to Q*p and NTT'd — one parallelFor over all L*(L+1) (digit, limb)
-     * jobs. A rotation group shares one decomposition across all its
-     * members (Halevi-Shoup hoisting).
+     * ModUp half of the hybrid key switch: decompose NTT-domain @p d
+     * (level L, no special limb) into L digits, each base-extended to
+     * Q*p and NTT'd — one parallelFor over all L*(L+1) (digit, limb)
+     * jobs. Digit i's own limb i is d's limb i as given, so a
+     * decomposition costs L inverse and L*L forward NTTs. A rotation
+     * group shares one decomposition across all its members
+     * (Halevi-Shoup hoisting).
      */
     std::vector<RnsPoly> decomposeKsw(const RnsPoly &d);
 
@@ -196,11 +198,12 @@ class Evaluator
                   std::span<const std::uint32_t> perm);
 
     /**
-     * Hybrid key switch: given poly @p d decrypting under s', produce
-     * NTT-domain (u0, u1) decrypting the same value under s (up to
-     * ModDown noise).
+     * Hybrid key switch: given NTT-domain poly @p d decrypting under
+     * s', produce NTT-domain (u0, u1) decrypting the same value under
+     * s (up to ModDown noise).
      */
-    std::pair<RnsPoly, RnsPoly> applyKsw(RnsPoly d, const KswKey &key);
+    std::pair<RnsPoly, RnsPoly> applyKsw(const RnsPoly &d,
+                                         const KswKey &key);
 
     /** One rotation of @p a from an already-hoisted decomposition. */
     Ciphertext rotateFromDigits(const Ciphertext &a,

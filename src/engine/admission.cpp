@@ -75,6 +75,20 @@ predictedCompletionSeconds(std::size_t queueDepth, std::size_t batchLanes,
            serviceSeconds;
 }
 
+ShedVerdict
+shedVerdict(double secondsLeft, std::size_t queueDepth,
+            std::size_t batchLanes, unsigned workers, double serviceSeconds)
+{
+    if (serviceSeconds <= 0.0)
+        return ShedVerdict::admit;
+    if (secondsLeft < serviceSeconds)
+        return ShedVerdict::deadline;
+    if (secondsLeft < predictedCompletionSeconds(queueDepth, batchLanes,
+                                                 workers, serviceSeconds))
+        return ShedVerdict::shed;
+    return ShedVerdict::admit;
+}
+
 double
 retryBackoffSeconds(const RetryOptions &retry, std::uint32_t attempt)
 {

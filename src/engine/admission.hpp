@@ -88,6 +88,21 @@ double predictedCompletionSeconds(std::size_t queueDepth,
                                   unsigned workers,
                                   double serviceSeconds);
 
+/** The shed policy's verdict on a request that carries a deadline. */
+enum class ShedVerdict { admit, deadline, shed };
+
+/**
+ * The shed policy's SLO check at admission: @p secondsLeft until the
+ * request's deadline against the EWMA @p serviceSeconds (0 = no sample
+ * yet, admit). A deadline closer than one service time cannot be met
+ * even by an idle worker, so it is an expiry (deadline), not
+ * overload; one that only the queue drain ahead pushes past
+ * (predictedCompletionSeconds) is shed.
+ */
+ShedVerdict shedVerdict(double secondsLeft, std::size_t queueDepth,
+                        std::size_t batchLanes, unsigned workers,
+                        double serviceSeconds);
+
 /**
  * Deterministic retry knobs. A transient failure is re-run up to
  * maxRetries times; every attempt reuses the same (keySeed,

@@ -557,22 +557,29 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
             return future;
         }
         // SLO-aware fast-fail: with an online service-time estimate,
-        // a request predicted to finish after its deadline is shed now
-        // instead of wasting queue time and worker cycles. The
+        // a request predicted to finish after its deadline is rejected
+        // now instead of wasting queue time and worker cycles. The
         // predicted completion is queue drain (the groups ahead of us,
         // over `workers` servers) plus our own service time.
-        const double est = estimator_.estimateSeconds();
-        if (job.deadline && est > 0.0) {
+        if (job.deadline) {
+            const double est = estimator_.estimateSeconds();
             const std::size_t depth = queue_.size();
-            const double predicted = predictedCompletionSeconds(
-                depth, lanes_, options_.workers, est);
-            if (now + secondsToDuration(predicted) > *job.deadline) {
-                auto out = rejectOutcome(
-                    "shed",
-                    "predicted completion exceeds deadline "
-                    "(EWMA service estimate " +
-                        std::to_string(est) + " s, queue depth " +
-                        std::to_string(depth) + ")");
+            const double left =
+                std::chrono::duration<double>(*job.deadline - now).count();
+            const ShedVerdict verdict =
+                shedVerdict(left, depth, lanes_, options_.workers, est);
+            if (verdict != ShedVerdict::admit) {
+                const std::string estimate =
+                    "(EWMA service estimate " + std::to_string(est) +
+                    " s, queue depth " + std::to_string(depth) + ")";
+                auto out =
+                    verdict == ShedVerdict::deadline
+                        ? rejectOutcome("deadline",
+                                        "deadline closer than one "
+                                        "service time " + estimate)
+                        : rejectOutcome("shed",
+                                        "predicted completion exceeds "
+                                        "deadline " + estimate);
                 recordRejected(out);
                 job.promise.set_value(std::move(out));
                 return future;
@@ -582,9 +589,14 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
             FXHENN_FATAL_IF(queue_.closed(),
                             "inference engine is shut down and no "
                             "longer accepts requests");
+            // A request whose deadline passed while it was being
+            // admitted expired; the full queue only decides its timing.
+            const bool expired =
+                job.deadline && Clock::now() > *job.deadline;
             auto out = rejectOutcome(
-                "shed", "admission queue full (capacity " +
-                            std::to_string(queue_.capacity()) + ")");
+                expired ? "deadline" : "shed",
+                "admission queue full (capacity " +
+                    std::to_string(queue_.capacity()) + ")");
             recordRejected(out);
             job.promise.set_value(std::move(out));
             return future;

@@ -47,14 +47,4 @@ Modulus::inverse(std::uint64_t a) const
     return pow(a, value_ - 2);
 }
 
-std::uint64_t
-Modulus::reduceSigned(__int128 x) const
-{
-    const __int128 q = static_cast<__int128>(value_);
-    __int128 r = x % q;
-    if (r < 0)
-        r += q;
-    return static_cast<std::uint64_t>(r);
-}
-
 } // namespace fxhenn

@@ -175,8 +175,23 @@ class Modulus
      */
     std::uint64_t inverse(std::uint64_t a) const;
 
-    /** Reduce an arbitrary signed value into [0, q). */
-    std::uint64_t reduceSigned(__int128 x) const;
+    /**
+     * Reduce an arbitrary signed value into [0, q), exactly: reduce
+     * the magnitude (reduceWide() only when it reaches q), then negate
+     * for negative inputs. No 128-bit division.
+     */
+    std::uint64_t
+    reduceSigned(__int128 x) const
+    {
+        // -x in unsigned arithmetic is exact even for x = -2^127.
+        const unsigned __int128 mag =
+            x < 0 ? -static_cast<unsigned __int128>(x)
+                  : static_cast<unsigned __int128>(x);
+        const std::uint64_t r = mag >= value_
+                                    ? reduceWide(mag)
+                                    : static_cast<std::uint64_t>(mag);
+        return x < 0 ? negate(r) : r;
+    }
 
     /** Map a residue to its centered representative in (-q/2, q/2]. */
     std::int64_t

@@ -159,6 +159,15 @@ struct Kernels
     void (*reduceArray)(std::uint64_t *dst, const std::uint64_t *src,
                         std::size_t n, const Modulus &q);
 
+    /** dst[k] = ((a[k] - b[k]) mod q) * w mod q, with w < q and
+     * wShoup = q.shoupConstant(w) — the NTT-domain tail of a limb drop
+     * (rescale, ModDown): subtract the extended dropped limb, multiply
+     * by the dropped prime's inverse. */
+    void (*subScaleArray)(std::uint64_t *dst, const std::uint64_t *a,
+                          const std::uint64_t *b, std::size_t n,
+                          const Modulus &q, std::uint64_t w,
+                          std::uint64_t wShoup);
+
     /** acc[k] += a[k] * b[k], unreduced 128-bit lanes (the lazy
      * keyswitch inner product). */
     void (*fmaLazy)(unsigned __int128 *acc, const std::uint64_t *a,

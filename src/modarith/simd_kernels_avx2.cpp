@@ -333,6 +333,29 @@ reduceArrayAvx2(std::uint64_t *dst, const std::uint64_t *src,
         dst[k] = q.reduce(src[k]);
 }
 
+void
+subScaleArrayAvx2(std::uint64_t *dst, const std::uint64_t *a,
+                  const std::uint64_t *b, std::size_t n, const Modulus &q,
+                  std::uint64_t w, std::uint64_t wShoup)
+{
+    const __m256i qv =
+        _mm256_set1_epi64x(static_cast<long long>(q.value()));
+    const __m256i wv = _mm256_set1_epi64x(static_cast<long long>(w));
+    const __m256i wsv =
+        _mm256_set1_epi64x(static_cast<long long>(wShoup));
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        // a - b + q in [1, 2q) -> [0, q), then the Shoup multiply.
+        const __m256i d = csub(
+            _mm256_add_epi64(
+                _mm256_sub_epi64(loadU64(a + k), loadU64(b + k)), qv),
+            qv);
+        storeU64(dst + k, shoupMulVec(d, wv, wsv, qv));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.mulShoup(q.sub(a[k], b[k]), w, wShoup);
+}
+
 // --- 128-bit lazy keyswitch inner product -------------------------------
 
 /**
@@ -463,6 +486,7 @@ avx2Kernels()
         &mulArrayAvx2,
         &fmaModArrayAvx2,
         &reduceArrayAvx2,
+        &subScaleArrayAvx2,
         &fmaLazyAvx2,
         &fmaLazyGatherAvx2,
         &reduceWideArrayAvx2,

@@ -348,6 +348,33 @@ nttInverseAvx512(std::uint64_t *a, std::uint64_t n, const std::uint64_t *w,
     }
 }
 
+void
+subScaleArrayAvx512(std::uint64_t *dst, const std::uint64_t *a,
+                    const std::uint64_t *b, std::size_t n, const Modulus &q,
+                    std::uint64_t w, std::uint64_t wShoup)
+{
+    const std::uint64_t qw = q.value();
+    if (tooWide(qw)) {
+        detail::avx2Kernels().subScaleArray(dst, a, b, n, q, w, wShoup);
+        return;
+    }
+    const __m512i qv = _mm512_set1_epi64(static_cast<long long>(qw));
+    const __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
+    const __m512i wpv =
+        _mm512_set1_epi64(static_cast<long long>(wShoup >> 12));
+    const __m512i m52 = _mm512_set1_epi64(static_cast<long long>(kMask52));
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        // a - b + q lies in [1, 2q) < 2^52: shoup52 takes it unreduced
+        // and lands in [0, 2q); one csub canonicalizes.
+        const __m512i x = _mm512_add_epi64(
+            _mm512_sub_epi64(loadU64(a + k), loadU64(b + k)), qv);
+        storeU64(dst + k, csub(shoup52(x, wv, wpv, qv, m52), qv));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.mulShoup(q.sub(a[k], b[k]), w, wShoup);
+}
+
 } // namespace
 
 namespace detail {
@@ -355,16 +382,17 @@ namespace detail {
 const Kernels &
 avx512Kernels()
 {
-    // Only the NTT is re-implemented on the IFMA datapath; the array
-    // kernels reuse the avx2 implementations (already vector, and the
-    // 128-bit lazy accumulator is bound by the 64x64 multiply either
-    // way).
+    // The NTT and the limb-drop tail (a Shoup multiply by one scalar)
+    // run on the IFMA datapath; the other array kernels reuse the avx2
+    // implementations (already vector, and the 128-bit lazy
+    // accumulator is bound by the 64x64 multiply either way).
     static const Kernels table = [] {
         Kernels k = avx2Kernels();
         k.level = Level::avx512;
         k.width = laneWidth(Level::avx512);
         k.nttForward = &nttForwardAvx512;
         k.nttInverse = &nttInverseAvx512;
+        k.subScaleArray = &subScaleArrayAvx512;
         return k;
     }();
     return table;

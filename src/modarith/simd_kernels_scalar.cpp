@@ -112,6 +112,15 @@ reduceArrayScalar(std::uint64_t *dst, const std::uint64_t *src,
 }
 
 void
+subScaleArrayScalar(std::uint64_t *dst, const std::uint64_t *a,
+                    const std::uint64_t *b, std::size_t n, const Modulus &q,
+                    std::uint64_t w, std::uint64_t wShoup)
+{
+    for (std::size_t k = 0; k < n; ++k)
+        dst[k] = q.mulShoup(q.sub(a[k], b[k]), w, wShoup);
+}
+
+void
 fmaLazyScalar(unsigned __int128 *acc, const std::uint64_t *a,
               const std::uint64_t *b, std::size_t n)
 {
@@ -153,6 +162,7 @@ scalarKernels()
         &mulArrayScalar,
         &fmaModArrayScalar,
         &reduceArrayScalar,
+        &subScaleArrayScalar,
         &fmaLazyScalar,
         &fmaLazyGatherScalar,
         &reduceWideArrayScalar,

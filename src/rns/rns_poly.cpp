@@ -1,5 +1,7 @@
 #include "src/rns/rns_poly.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
 #include "src/common/parallel.hpp"
 #include "src/modarith/simd_dispatch.hpp"
@@ -162,74 +164,85 @@ RnsPoly::fromNtt()
 }
 
 void
+RnsPoly::divideByLastLimb()
+{
+    // Only the dropped limb leaves the NTT domain. Its centred
+    // coefficients v (in (-q_last/2, q_last/2]) are extended into each
+    // kept limb j and forward-NTT'd there; since the NTT is linear with
+    // canonical outputs, (x_j - NTT_j(v)) * q_last^-1 is bit for bit
+    // the NTT of the coefficient-domain quotient.
+    auto &pos = limbs_.back();
+    const NttTables &tailNtt = limbNtt(limbs_.size() - 1);
+    const Modulus &qLast = tailNtt.modulus();
+    tailNtt.inverse(pos);
+
+    // Split v = pos - neg once, with pos and neg in [0, q_last/2], so
+    // every kept limb gets v mod q_j from the subArray kernel: directly
+    // when q_last/2 < q_j, else after reducing both halves mod q_j.
+    const std::uint64_t half = qLast.value() / 2;
+    const std::size_t n = pos.size();
+    std::vector<std::uint64_t> neg = rns::WorkspacePool::leaseU64(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const bool up = pos[k] > half;
+        neg[k] = up ? qLast.value() - pos[k] : 0;
+        pos[k] = up ? 0 : pos[k];
+    }
+
+    const auto &kern = simd::kernels();
+    parallelFor(limbs_.size() - 1, [&](std::size_t j) {
+        const Modulus &q = limbModulus(j);
+        std::vector<std::uint64_t> ext = rns::WorkspacePool::leaseU64(n);
+        FXHENN_TELEM_COUNT("modarith.simd.dispatches", 1);
+        if (half < q.value()) {
+            kern.subArray(ext.data(), pos.data(), neg.data(), n, q);
+        } else {
+            std::vector<std::uint64_t> tmp =
+                rns::WorkspacePool::leaseU64(n);
+            // Barrett reduce() needs x < 2^(2*bits()); reduceWide()
+            // takes anything.
+            if (qLast.bits() <= 2 * q.bits()) {
+                kern.reduceArray(ext.data(), pos.data(), n, q);
+                kern.reduceArray(tmp.data(), neg.data(), n, q);
+            } else {
+                for (std::size_t k = 0; k < n; ++k) {
+                    ext[k] = q.reduceWide(pos[k]);
+                    tmp[k] = q.reduceWide(neg[k]);
+                }
+            }
+            kern.subArray(ext.data(), ext.data(), tmp.data(), n, q);
+            rns::WorkspacePool::release(std::move(tmp));
+        }
+        limbNtt(j).forward(ext);
+        const std::uint64_t inv = hasSpecial_
+                                      ? basis_->invSpecial(j)
+                                      : basis_->invLastPrime(level_, j);
+        FXHENN_TELEM_COUNT("modarith.simd.dispatches", 1);
+        kern.subScaleArray(limbs_[j].data(), limbs_[j].data(), ext.data(),
+                           n, q, inv, q.shoupConstant(inv));
+        rns::WorkspacePool::release(std::move(ext));
+    });
+    rns::WorkspacePool::release(std::move(neg));
+    limbs_.pop_back();
+}
+
+void
 RnsPoly::rescaleLastPrime()
 {
-    FXHENN_ASSERT(domain_ == PolyDomain::coeff,
-                  "rescale requires coefficient domain");
+    FXHENN_ASSERT(domain_ == PolyDomain::ntt,
+                  "rescale requires NTT domain");
     FXHENN_ASSERT(!hasSpecial_, "rescale with special limb present");
     FXHENN_ASSERT(level_ >= 2, "cannot rescale a level-1 polynomial");
-
-    const std::size_t last = level_ - 1;
-    const Modulus &q_last = basis_->q(last);
-    const std::uint64_t half = q_last.value() / 2;
-    const auto &tail = limbs_[last];
-
-    // Remaining limbs are written disjointly (all read only the tail).
-    parallelFor(last, [&](std::size_t j) {
-        const Modulus &q = basis_->q(j);
-        const std::uint64_t inv = basis_->invLastPrime(level_, j);
-        const std::uint64_t invShoup = q.shoupConstant(inv);
-        const std::uint64_t qlast_mod = q_last.value() % q.value();
-        // tail[k] < q_last, so Barrett reduce() applies whenever the
-        // dropped prime fits its x < 2^(2*bits()) contract.
-        const bool barrett = q_last.bits() < 2 * q.bits();
-        auto &dst = limbs_[j];
-        for (std::size_t k = 0; k < dst.size(); ++k) {
-            // Centered representative of the tail residue, so the
-            // division rounds instead of truncating.
-            const std::uint64_t res =
-                barrett ? q.reduce(tail[k]) : tail[k] % q.value();
-            const std::uint64_t centered =
-                tail[k] > half ? q.sub(res, qlast_mod) : res;
-            dst[k] = q.mulShoup(q.sub(dst[k], centered), inv, invShoup);
-        }
-    });
-    limbs_.pop_back();
+    divideByLastLimb();
     --level_;
 }
 
 void
 RnsPoly::modDownSpecial()
 {
-    FXHENN_ASSERT(domain_ == PolyDomain::coeff,
-                  "modDown requires coefficient domain");
+    FXHENN_ASSERT(domain_ == PolyDomain::ntt,
+                  "modDown requires NTT domain");
     FXHENN_ASSERT(hasSpecial_, "no special limb to remove");
-
-    const Modulus &p = basis_->specialPrime();
-    const std::uint64_t half = p.value() / 2;
-    const auto &tail = limbs_.back();
-
-    // Data limbs are written disjointly (all read only the special
-    // limb), so ModDown parallelizes across limbs like the NTTs.
-    parallelFor(level_, [&](std::size_t j) {
-        const Modulus &q = basis_->q(j);
-        const std::uint64_t inv = basis_->invSpecial(j);
-        const std::uint64_t invShoup = q.shoupConstant(inv);
-        const std::uint64_t p_mod = p.value() % q.value();
-        // tail[k] < p, so Barrett reduce() applies whenever the special
-        // prime fits its x < 2^(2*bits()) contract (always true for the
-        // preset chains: specialBits <= qBits + 10 < 2*qBits).
-        const bool barrett = p.bits() < 2 * q.bits();
-        auto &dst = limbs_[j];
-        for (std::size_t k = 0; k < dst.size(); ++k) {
-            const std::uint64_t res =
-                barrett ? q.reduce(tail[k]) : tail[k] % q.value();
-            const std::uint64_t centered =
-                tail[k] > half ? q.sub(res, p_mod) : res;
-            dst[k] = q.mulShoup(q.sub(dst[k], centered), inv, invShoup);
-        }
-    });
-    limbs_.pop_back();
+    divideByLastLimb();
     hasSpecial_ = false;
 }
 
@@ -245,10 +258,42 @@ RnsPoly::dropLastPrime()
 void
 RnsPoly::sampleUniform(Rng &rng)
 {
+    // The draws of Rng::uniform(q) with its rejection threshold hoisted
+    // per limb and the remainder taken by Barrett instead of a divide.
     for (std::size_t i = 0; i < limbs_.size(); ++i) {
         const Modulus &q = limbModulus(i);
-        for (auto &x : limbs_[i])
-            x = rng.uniform(q.value());
+        const std::uint64_t threshold = (0 - q.value()) % q.value();
+        for (auto &x : limbs_[i]) {
+            std::uint64_t r = rng.next();
+            while (r < threshold)
+                r = rng.next();
+            x = q.reduceWide(r);
+        }
+    }
+    domain_ = PolyDomain::coeff;
+}
+
+void
+RnsPoly::setSigned(std::span<const std::int64_t> values)
+{
+    FXHENN_ASSERT(values.size() == basis_->n(), "one value per coefficient");
+    std::uint64_t maxAbs = 0;
+    for (std::int64_t v : values)
+        maxAbs = std::max(maxAbs, v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                                        : static_cast<std::uint64_t>(v));
+    for (std::size_t i = 0; i < limbs_.size(); ++i) {
+        const Modulus &q = limbModulus(i);
+        auto &dst = limbs_[i];
+        if (maxAbs < q.value()) {
+            // Branch-free residue of |v| < q: v, or v + q when negative.
+            for (std::size_t k = 0; k < values.size(); ++k)
+                dst[k] = static_cast<std::uint64_t>(values[k]) +
+                         (q.value() &
+                          static_cast<std::uint64_t>(values[k] >> 63));
+        } else {
+            for (std::size_t k = 0; k < values.size(); ++k)
+                dst[k] = q.reduceSigned(values[k]);
+        }
     }
     domain_ = PolyDomain::coeff;
 }
@@ -256,31 +301,19 @@ RnsPoly::sampleUniform(Rng &rng)
 void
 RnsPoly::sampleTernary(Rng &rng)
 {
-    const std::uint64_t n = basis_->n();
-    std::vector<std::int64_t> secret(n);
+    std::vector<std::int64_t> secret(basis_->n());
     for (auto &s : secret)
         s = rng.ternary();
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        const Modulus &q = limbModulus(i);
-        for (std::size_t k = 0; k < n; ++k)
-            limbs_[i][k] = q.reduceSigned(secret[k]);
-    }
-    domain_ = PolyDomain::coeff;
+    setSigned(secret);
 }
 
 void
 RnsPoly::sampleGaussian(Rng &rng, double sigma)
 {
-    const std::uint64_t n = basis_->n();
-    std::vector<std::int64_t> err(n);
+    std::vector<std::int64_t> err(basis_->n());
     for (auto &e : err)
         e = rng.gaussian(sigma);
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        const Modulus &q = limbModulus(i);
-        for (std::size_t k = 0; k < n; ++k)
-            limbs_[i][k] = q.reduceSigned(err[k]);
-    }
-    domain_ = PolyDomain::coeff;
+    setSigned(err);
 }
 
 RnsPoly
@@ -333,55 +366,6 @@ RnsPoly::operator==(const RnsPoly &other) const
     return basis_ == other.basis_ && level_ == other.level_ &&
            hasSpecial_ == other.hasSpecial_ && domain_ == other.domain_ &&
            limbs_ == other.limbs_;
-}
-
-namespace {
-
-/** Flatten (poly, limb) pairs so one parallelFor spans all of them. */
-std::vector<std::pair<RnsPoly *, std::size_t>>
-limbJobs(std::span<RnsPoly *const> polys)
-{
-    std::vector<std::pair<RnsPoly *, std::size_t>> jobs;
-    std::size_t total = 0;
-    for (RnsPoly *p : polys)
-        total += p->limbCount();
-    jobs.reserve(total);
-    for (RnsPoly *p : polys)
-        for (std::size_t i = 0; i < p->limbCount(); ++i)
-            jobs.emplace_back(p, i);
-    return jobs;
-}
-
-} // namespace
-
-void
-batchFromNtt(std::span<RnsPoly *const> polys)
-{
-    for (RnsPoly *p : polys)
-        FXHENN_ASSERT(p->domain() == PolyDomain::ntt,
-                      "batchFromNtt operand already in coeff domain");
-    const auto jobs = limbJobs(polys);
-    parallelFor(jobs.size(), [&jobs](std::size_t j) {
-        auto [p, i] = jobs[j];
-        p->limbNtt(i).inverse(p->limb(i));
-    });
-    for (RnsPoly *p : polys)
-        p->setDomain(PolyDomain::coeff);
-}
-
-void
-batchToNtt(std::span<RnsPoly *const> polys)
-{
-    for (RnsPoly *p : polys)
-        FXHENN_ASSERT(p->domain() == PolyDomain::coeff,
-                      "batchToNtt operand already in NTT domain");
-    const auto jobs = limbJobs(polys);
-    parallelFor(jobs.size(), [&jobs](std::size_t j) {
-        auto [p, i] = jobs[j];
-        p->limbNtt(i).forward(p->limb(i));
-    });
-    for (RnsPoly *p : polys)
-        p->setDomain(PolyDomain::ntt);
 }
 
 } // namespace fxhenn

@@ -91,15 +91,20 @@ class RnsPoly
      * Drop the last data prime with scaling: the RNS-CKKS Rescale core.
      * For each remaining limb j:
      *     c_j <- (c_j - [c_last]) * q_last^-1  (mod q_j)
-     * The polynomial must be in coefficient domain and have no special
-     * limb. Decreases level() by one.
+     * where [c_last] is the centred representative of the dropped
+     * limb. Works in the NTT domain: only the dropped limb is inverse
+     * transformed (1 inverse + level()-1 forward NTTs), and the result
+     * is bitwise the NTT of the coefficient-domain quotient. The
+     * polynomial must be in NTT domain and have no special limb.
+     * Decreases level() by one.
      */
     void rescaleLastPrime();
 
     /**
      * Exact divide-and-round by the special prime (hybrid key-switch
-     * ModDown). Requires coefficient domain and a special limb; removes
-     * the special limb.
+     * ModDown), in the NTT domain like rescaleLastPrime() (1 inverse +
+     * level() forward NTTs). Requires NTT domain and a special limb;
+     * removes the special limb.
      */
     void modDownSpecial();
 
@@ -108,12 +113,23 @@ class RnsPoly
 
     // --- sampling (all produce coefficient-domain polynomials)
 
-    /** Fill with uniform residues (independent per limb). */
+    /** Fill with uniform residues (independent per limb); the same
+     * draws as Rng::uniform(q) per coefficient. */
     void sampleUniform(Rng &rng);
     /** Fill with a shared ternary secret across all limbs. */
     void sampleTernary(Rng &rng);
     /** Fill with a shared centered Gaussian error across all limbs. */
     void sampleGaussian(Rng &rng, double sigma);
+
+    /**
+     * Set every limb to the residues of the signed integers @p values,
+     * one per coefficient (coefficient domain). Exact for any int64;
+     * when every |value| < q — the samplers' draws (|e| <= 28 at
+     * sigma = 3.2, since Rng::gaussian stays below about 8.6 sigma) and
+     * typical encodings — a limb is filled branch-free as
+     * v + (q & (v >> 63)), else through Modulus::reduceSigned().
+     */
+    void setSigned(std::span<const std::int64_t> values);
 
     /**
      * Apply the Galois automorphism X -> X^galoisElt to a coefficient
@@ -149,6 +165,12 @@ class RnsPoly
   private:
     void checkCompatible(const RnsPoly &other) const;
 
+    /** NTT-domain divide-and-round of every other limb by the last
+     * limb's modulus (the special prime when present, else the last
+     * data prime); pops the last limb. */
+    void divideByLastLimb();
+
+
     const RnsBasis *basis_ = nullptr;
     std::size_t level_ = 0;
     bool hasSpecial_ = false;
@@ -156,17 +178,6 @@ class RnsPoly
     /** Pooled storage: limb buffers recycle through the WorkspacePool. */
     std::vector<rns::PooledBuffer> limbs_;
 };
-
-/**
- * Convert several polynomials NTT -> coefficient domain with ONE
- * parallelFor over every (polynomial, limb) job — the batched form the
- * keyswitch core uses so limb-level parallelism spans all its
- * polynomials instead of synchronizing per polynomial.
- */
-void batchFromNtt(std::span<RnsPoly *const> polys);
-
-/** Batched counterpart of toNtt() (coefficient -> NTT domain). */
-void batchToNtt(std::span<RnsPoly *const> polys);
 
 } // namespace fxhenn
 

@@ -135,6 +135,39 @@ TEST_F(KeyswitchPathTest, HoistedGroupMatchesSerialRotationsBitwise)
     }
 }
 
+TEST_F(KeyswitchPathTest, RescaleAndKeyswitchNttBudgets)
+{
+    // The NTT-domain limb drops: a rescale at level l inverse-transforms
+    // only the dropped limb of each part (2 inverse) and forward-
+    // transforms its extension into the l-1 kept limbs (2(l-1)
+    // forward). A keyswitch is its ModUp (l inverse, l*l forward: digit
+    // i's own limb is the input's NTT limb) plus ModDown (2 inverse,
+    // 2l forward).
+    if (!telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    Evaluator eval(ctx_);
+    const auto gk = keygen_.makeGaloisKeys({1});
+    Ciphertext ct = enc(31);
+    auto &fwd = telemetry::counter("modarith.ntt.forward");
+    auto &inv = telemetry::counter("modarith.ntt.inverse");
+    telemetry::setEnabled(true);
+    for (std::size_t level = ct.level(); level >= 2; --level) {
+        SCOPED_TRACE(level);
+        fwd.reset();
+        inv.reset();
+        const Ciphertext rotated = eval.rotate(ct, 1, gk);
+        EXPECT_EQ(inv.value(), level + 2);
+        EXPECT_EQ(fwd.value(), level * level + 2 * level);
+
+        fwd.reset();
+        inv.reset();
+        eval.rescaleInplace(ct);
+        EXPECT_EQ(inv.value(), 2u);
+        EXPECT_EQ(fwd.value(), 2 * (level - 1));
+    }
+    telemetry::setEnabled(false);
+}
+
 TEST_F(KeyswitchPathTest, EveryRotatePairsOneCounterWithOneTimer)
 {
     if (!telemetry::compiledIn())

@@ -97,6 +97,22 @@ TEST(ShedPredictorTest, BatchedQueueCountsGroupsNotRequests)
     EXPECT_DOUBLE_EQ(predictedCompletionSeconds(32, 16, 2, est), 2.0);
 }
 
+TEST(ShedVerdictTest, DeadlineCloserThanOneServiceTimeIsAnExpiry)
+{
+    // Even an idle engine (empty queue) cannot serve a request whose
+    // deadline is closer than one run: it expires, it is not shed. A
+    // 1 ns deadline is the chaos suite's hopeless request.
+    EXPECT_EQ(shedVerdict(1e-9, 0, 1, 2, 0.05), ShedVerdict::deadline);
+    EXPECT_EQ(shedVerdict(0.049, 0, 1, 2, 0.05), ShedVerdict::deadline);
+    EXPECT_EQ(shedVerdict(0.049, 8, 1, 2, 0.05), ShedVerdict::deadline);
+    // Meetable by an idle worker but not behind the queue: shed.
+    EXPECT_EQ(shedVerdict(0.06, 4, 1, 2, 0.05), ShedVerdict::shed);
+    EXPECT_EQ(shedVerdict(0.06, 0, 1, 2, 0.05), ShedVerdict::admit);
+    EXPECT_EQ(shedVerdict(0.16, 4, 1, 2, 0.05), ShedVerdict::admit);
+    // No service sample yet: nothing to predict with, admit.
+    EXPECT_EQ(shedVerdict(1e-9, 8, 1, 2, 0.0), ShedVerdict::admit);
+}
+
 TEST(RetryBackoffTest, DoublesUpToTheCap)
 {
     RetryOptions retry;

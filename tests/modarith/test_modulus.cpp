@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/common/assert.hpp"
 #include "src/common/rng.hpp"
@@ -146,6 +147,32 @@ TEST(Modulus, ReduceSignedHandlesNegatives)
     const __int128 big = static_cast<__int128>(1) << 100;
     EXPECT_EQ(q.reduceSigned(big),
               static_cast<std::uint64_t>(big % 97));
+}
+
+TEST(Modulus, ReduceSignedMatchesInt128RemainderAtEveryPresetWidth)
+{
+    // The division-free reduction against the 128-bit `%` it replaced,
+    // at the boundaries where magnitude, wide reduction and negation
+    // meet, for one prime of every width the stack configures.
+    for (unsigned bits : {30u, 36u, 42u, 50u, 55u, 60u}) {
+        const Modulus q(generateNttPrimes(bits, 4096, 1)[0]);
+        const __int128 qv = static_cast<__int128>(q.value());
+        const __int128 one = 1;
+        const __int128 max128 = static_cast<__int128>(
+            ~static_cast<unsigned __int128>(0) >> 1);
+        std::vector<__int128> xs{0, max128, -max128, -max128 - 1};
+        for (__int128 m : {one, qv - 1, qv, qv + 1, 2 * qv - 1, one << 63,
+                           (one << 63) - 1, one << 100, qv * qv})
+            for (__int128 sign : {one, -one})
+                xs.push_back(sign * m);
+        for (__int128 x : xs) {
+            __int128 ref = x % qv;
+            if (ref < 0)
+                ref += qv;
+            EXPECT_EQ(q.reduceSigned(x), static_cast<std::uint64_t>(ref))
+                << "bits " << bits << ", x = " << static_cast<double>(x);
+        }
+    }
 }
 
 TEST(Modulus, ToCenteredRoundTrips)

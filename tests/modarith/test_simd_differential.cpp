@@ -109,6 +109,22 @@ TEST(SimdDifferential, ArrayKernelsMatchScalarBitwise)
             EXPECT_EQ(want, got)
                 << "reduceArray @" << simd::levelName(level)
                 << " q=" << q.value();
+
+            // Scalars at both ends of [0, q) plus a random one, with
+            // dst aliasing a as in the limb drop.
+            for (std::uint64_t w : {std::uint64_t{1}, q.value() - 1,
+                                    dst0[0]}) {
+                const std::uint64_t ws = q.shoupConstant(w);
+                want = a;
+                got = a;
+                ref.subScaleArray(want.data(), want.data(), b.data(), n,
+                                  q, w, ws);
+                kern.subScaleArray(got.data(), got.data(), b.data(), n, q,
+                                   w, ws);
+                EXPECT_EQ(want, got)
+                    << "subScaleArray @" << simd::levelName(level)
+                    << " q=" << q.value() << " w=" << w;
+            }
         }
     }
 }

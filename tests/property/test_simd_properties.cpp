@@ -110,6 +110,14 @@ TEST(SimdProperty, BoundaryCoefficientsAtEveryPrimeAndWidth)
                 ASSERT_EQ(want, got)
                     << "fmaModArray n=" << n << " q=" << q.value()
                     << " @" << simd::levelName(level);
+                const std::uint64_t w = q.value() - 1;
+                ref.subScaleArray(want.data(), a.data(), b.data(), n, q,
+                                  w, q.shoupConstant(w));
+                kern.subScaleArray(got.data(), a.data(), b.data(), n, q,
+                                   w, q.shoupConstant(w));
+                ASSERT_EQ(want, got)
+                    << "subScaleArray n=" << n << " q=" << q.value()
+                    << " @" << simd::levelName(level);
             }
         }
     }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
+#include "src/ckks/context.hpp"
 #include "src/common/rng.hpp"
 #include "src/modarith/primes.hpp"
 #include "src/rns/crt.hpp"
@@ -102,7 +104,9 @@ TEST_F(RnsPolyTest, RescaleDividesAndRounds)
     const double q_last = static_cast<double>(basis_.q(level - 1).value());
     const std::int64_t v = (1ll << 58) + 12345;
     RnsPoly p = constantPoly(v, level);
+    p.toNtt();
     p.rescaleLastPrime();
+    p.fromNtt();
     EXPECT_EQ(p.level(), level - 1);
     const std::int64_t got = coeffValue(p, 0);
     const double expect = static_cast<double>(v) / q_last;
@@ -119,7 +123,9 @@ TEST_F(RnsPolyTest, ModDownSpecialDividesByP)
         for (auto &x : p.limb(i))
             x = q.reduceSigned(v);
     }
+    p.toNtt();
     p.modDownSpecial();
+    p.fromNtt();
     EXPECT_FALSE(p.hasSpecial());
     const double expect =
         static_cast<double>(v) /
@@ -200,6 +206,153 @@ TEST_F(RnsPolyTest, DropLastPrimeKeepsResidues)
     for (std::size_t i = 0; i < 2; ++i) {
         for (std::size_t k = 0; k < basis_.n(); ++k)
             EXPECT_EQ(p.limb(i)[k], copy.limb(i)[k]);
+    }
+}
+
+/** The division-free samplers draw the same stream and write the same
+ * residues as Rng::uniform(q) / Modulus::reduceSigned per coefficient,
+ * on narrow and 60-bit primes alike. */
+TEST(RnsPolySampling, SamplersMatchTheirDivisionReference)
+{
+    const RnsBasis basis(256, generateNttPrimes(50, 256, 2),
+                         generateNttPrimes(60, 256, 1)[0]);
+    for (int kind = 0; kind < 3; ++kind) {
+        Rng rng(7 + kind);
+        Rng ref(7 + kind);
+        RnsPoly p(basis, 2, true, PolyDomain::coeff);
+        std::vector<std::int64_t> shared(basis.n());
+        if (kind == 0) {
+            p.sampleUniform(rng);
+        } else if (kind == 1) {
+            p.sampleTernary(rng);
+            for (auto &v : shared)
+                v = ref.ternary();
+        } else {
+            p.sampleGaussian(rng, 3.2);
+            for (auto &v : shared)
+                v = ref.gaussian(3.2);
+        }
+        for (std::size_t i = 0; i < p.limbCount(); ++i) {
+            const Modulus &q = p.limbModulus(i);
+            for (std::size_t k = 0; k < basis.n(); ++k) {
+                const std::uint64_t want =
+                    kind == 0 ? ref.uniform(q.value())
+                              : q.reduceSigned(shared[k]);
+                ASSERT_EQ(p.limb(i)[k], want)
+                    << "sampler " << kind << " limb " << i << " k " << k;
+            }
+        }
+        EXPECT_EQ(rng.next(), ref.next()) << "streams drifted apart";
+    }
+}
+
+/** setSigned writes Modulus::reduceSigned's residue on both of its
+ * branches: all magnitudes below every prime, and one beyond. */
+TEST(RnsPolySampling, SetSignedMatchesReduceSigned)
+{
+    const RnsBasis basis(256, generateNttPrimes(30, 256, 2),
+                         generateNttPrimes(60, 256, 1)[0]);
+    const auto q0 = static_cast<std::int64_t>(basis.q(0).value());
+    for (bool wide : {false, true}) {
+        std::vector<std::int64_t> values(basis.n());
+        for (std::size_t k = 0; k < values.size(); ++k) {
+            const std::int64_t m = static_cast<std::int64_t>(k) - 128;
+            values[k] = m * (q0 / 200);
+        }
+        values[0] = -(q0 / 2);
+        values[1] = q0 / 2;
+        if (wide) {
+            values[2] = std::numeric_limits<std::int64_t>::min();
+            values[3] = std::numeric_limits<std::int64_t>::max();
+            values[4] = -q0;
+        }
+        RnsPoly p(basis, 2, true, PolyDomain::coeff);
+        p.setSigned(values);
+        for (std::size_t i = 0; i < p.limbCount(); ++i)
+            for (std::size_t k = 0; k < values.size(); ++k)
+                ASSERT_EQ(p.limb(i)[k],
+                          p.limbModulus(i).reduceSigned(values[k]))
+                    << "wide " << wide << " limb " << i << " k " << k;
+    }
+}
+
+/**
+ * The coefficient-domain divide-and-round the NTT-domain limb drop
+ * replaced, kept here as its reference: for every limb j below the
+ * last, c_j <- (c_j - [c_last]) * q_last^-1 (mod q_j) with [c_last]
+ * the centred representative of the dropped limb. Takes and returns
+ * coefficient-domain polynomials; the result has no special limb and,
+ * for a data-prime drop, one level less.
+ */
+RnsPoly
+referenceDivideByLastLimb(const RnsPoly &in)
+{
+    const std::size_t last = in.limbCount() - 1;
+    const std::size_t keep = last;
+    const Modulus &qLast = in.limbModulus(last);
+    const auto tail = in.limb(last);
+    const bool special = in.hasSpecial();
+    RnsPoly out(in.basis(), special ? in.level() : in.level() - 1, false,
+                PolyDomain::coeff);
+    for (std::size_t j = 0; j < keep; ++j) {
+        const Modulus &q = in.limbModulus(j);
+        const std::uint64_t inv =
+            special ? in.basis().invSpecial(j)
+                    : in.basis().invLastPrime(in.level(), j);
+        const auto src = in.limb(j);
+        auto dst = out.limb(j);
+        for (std::size_t k = 0; k < dst.size(); ++k) {
+            const std::int64_t centred = qLast.toCentered(tail[k]);
+            dst[k] = q.mul(q.sub(src[k], q.reduceSigned(centred)), inv);
+        }
+    }
+    return out;
+}
+
+/**
+ * NTT-domain rescale and ModDown against the coefficient-domain
+ * reference, bit for bit, at every level of the preset chains, plus
+ * two hand-made bases that reach the other extension branches: a
+ * special prime as narrow as the data primes, and one more than twice
+ * their width.
+ */
+TEST(RnsPolyLimbDrop, NttDomainMatchesCoefficientReferenceOnPresetChains)
+{
+    std::vector<std::unique_ptr<ckks::CkksContext>> contexts;
+    for (const ckks::CkksParams &params :
+         {ckks::mnistParams(), ckks::cifar10Params(), ckks::testParams()})
+        contexts.push_back(std::make_unique<ckks::CkksContext>(params));
+    const RnsBasis narrowSpecial(256, generateNttPrimes(30, 256, 3),
+                                 generateNttPrimes(30, 256, 4)[3]);
+    const RnsBasis wideSpecial(256, generateNttPrimes(20, 256, 3),
+                               generateNttPrimes(60, 256, 1)[0]);
+    std::vector<const RnsBasis *> bases{&narrowSpecial, &wideSpecial};
+    for (const auto &ctx : contexts)
+        bases.push_back(&ctx->basis());
+
+    Rng rng(4242);
+    for (const RnsBasis *basis : bases) {
+        SCOPED_TRACE(basis->n());
+        for (std::size_t level = 1; level <= basis->levels(); ++level) {
+            SCOPED_TRACE(level);
+            for (bool special : {false, true}) {
+                if (!special && level < 2)
+                    continue;
+                RnsPoly x(*basis, level, special, PolyDomain::coeff);
+                x.sampleUniform(rng);
+                RnsPoly expect = referenceDivideByLastLimb(x);
+                expect.toNtt();
+
+                x.toNtt();
+                if (special)
+                    x.modDownSpecial();
+                else
+                    x.rescaleLastPrime();
+                EXPECT_TRUE(x == expect)
+                    << (special ? "ModDown" : "rescale")
+                    << " diverged from the coefficient-domain reference";
+            }
+        }
     }
 }
 
