@@ -23,12 +23,15 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/ckks/decryptor.hpp"
 #include "src/ckks/encoder.hpp"
 #include "src/ckks/encryptor.hpp"
 #include "src/ckks/evaluator.hpp"
 #include "src/ckks/keygen.hpp"
+#include "src/common/math_util.hpp"
 #include "src/common/rng.hpp"
 #include "src/dse/sim_backend_install.hpp"
 #include "src/hecnn/backend.hpp"
@@ -429,6 +432,104 @@ BM_EncryptedInference(benchmark::State &state)
 }
 BENCHMARK(BM_EncryptedInference)->Iterations(3)->Unit(benchmark::kMillisecond);
 
+/**
+ * One multiply-class entry of the kernel table at n = 8192, called
+ * directly through simd::kernelsFor() so the row reads that level's
+ * kernel whatever level the process dispatches to (and touches no
+ * telemetry). Registered from main() for every reachable level x
+ * {30, 50}-bit primes, with pinned iteration counts; the per-call
+ * time is the row's Time column.
+ */
+enum class KernelRow { mulArray, reduceArray, fmaLazyPair,
+                       fmaLazyGatherPair, reduceWideArray };
+
+void
+BM_Kernel(benchmark::State &state, KernelRow row, simd::Level level,
+          unsigned bits)
+{
+    const std::size_t n = 8192;
+    const Modulus q(generateNttPrimes(bits, n, 1)[0]);
+    const auto &kern = simd::kernelsFor(level);
+    Rng rng(11);
+    std::vector<std::uint64_t> a(n), b0(n), b1(n), wide(n), dst(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        a[k] = rng.uniform(q.value());
+        b0[k] = rng.uniform(q.value());
+        b1[k] = rng.uniform(q.value());
+        // reduceArray's contract: wide[k] < 2^(2*bits).
+        wide[k] = bits > 32 ? rng.next() : a[k] * b0[k];
+    }
+    // The NTT-domain Galois permutation of a rotation by one slot
+    // (element 5), the gather the hoisted-rotation keyswitch runs.
+    const unsigned log2n = floorLog2(n);
+    std::vector<std::uint32_t> perm(n);
+    for (std::uint64_t t = 0; t < n; ++t) {
+        const std::uint64_t e = (5 * (2 * reverseBits(t, log2n) + 1)) %
+                                (2 * n);
+        perm[t] =
+            static_cast<std::uint32_t>(reverseBits((e - 1) / 2, log2n));
+    }
+    std::vector<unsigned __int128> acc0(n), acc1(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        acc0[k] = static_cast<unsigned __int128>(a[k]) * b0[k] * 7;
+        acc1[k] = static_cast<unsigned __int128>(a[k]) * b1[k] * 7;
+    }
+    for (auto _ : state) {
+        switch (row) {
+        case KernelRow::mulArray:
+            kern.mulArray(dst.data(), a.data(), b0.data(), n, q);
+            break;
+        case KernelRow::reduceArray:
+            kern.reduceArray(dst.data(), wide.data(), n, q);
+            break;
+        case KernelRow::fmaLazyPair:
+            kern.fmaLazyPair(acc0.data(), acc1.data(), a.data(), b0.data(),
+                             b1.data(), n, q);
+            break;
+        case KernelRow::fmaLazyGatherPair:
+            kern.fmaLazyGatherPair(acc0.data(), acc1.data(), a.data(),
+                                   perm.data(), b0.data(), b1.data(), n,
+                                   q);
+            break;
+        case KernelRow::reduceWideArray:
+            kern.reduceWideArray(dst.data(), acc0.data(), n, q);
+            break;
+        }
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::DoNotOptimize(acc0.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+
+void
+registerKernelRows()
+{
+    const std::pair<const char *, KernelRow> rows[] = {
+        {"mulArray", KernelRow::mulArray},
+        {"reduceArray", KernelRow::reduceArray},
+        {"fmaLazyPair", KernelRow::fmaLazyPair},
+        {"fmaLazyGatherPair", KernelRow::fmaLazyGatherPair},
+        {"reduceWideArray", KernelRow::reduceWideArray},
+    };
+    for (const auto &[name, row] : rows) {
+        for (simd::Level level :
+             {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512}) {
+            if (!simd::available(level))
+                continue;
+            for (unsigned bits : {30u, 50u}) {
+                benchmark::RegisterBenchmark(
+                    (std::string("BM_Kernel/") + name + "/" +
+                     simd::levelName(level) + "/q" + std::to_string(bits))
+                        .c_str(),
+                    BM_Kernel, row, level, bits)
+                    ->Iterations(2000);
+            }
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -447,6 +548,7 @@ main(int argc, char **argv)
     }
     argc = outArgc;
 
+    registerKernelRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

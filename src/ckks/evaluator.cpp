@@ -304,23 +304,19 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
         auto a0 = u0.limb(j);
         auto a1 = u1.limb(j);
         if (kswMode_ == KswMode::lazy) {
-            rns::LazyLimbAccumulator acc0(n);
-            rns::LazyLimbAccumulator acc1(n);
+            rns::LazyLimbAccumulator acc(qj, n);
             for (std::size_t i = 0; i < level; ++i) {
                 // Key limbs span all L data primes plus the special.
                 const RnsPoly &k0 = key.pairs[i].first;
                 const RnsPoly &k1 = key.pairs[i].second;
                 const std::size_t kj = (j < level) ? j : k0.level();
-                if (perm.empty()) {
-                    digits[i].fmaLazyInto(acc0, j, k0.limb(kj));
-                    digits[i].fmaLazyInto(acc1, j, k1.limb(kj));
-                } else {
-                    acc0.fmaGather(digits[i].limb(j), perm, k0.limb(kj));
-                    acc1.fmaGather(digits[i].limb(j), perm, k1.limb(kj));
-                }
+                if (perm.empty())
+                    acc.fma(digits[i].limb(j), k0.limb(kj), k1.limb(kj));
+                else
+                    acc.fmaGather(digits[i].limb(j), perm, k0.limb(kj),
+                                  k1.limb(kj));
             }
-            acc0.reduceInto(a0, qj);
-            acc1.reduceInto(a1, qj);
+            acc.reduceInto(a0, a1);
         } else {
             for (std::size_t i = 0; i < level; ++i) {
                 const RnsPoly &k0 = key.pairs[i].first;

@@ -16,14 +16,17 @@
  *    -mavx2 for that one translation unit only). 64x64->128
  *    multiplies are built exactly from 32-bit partial products, so
  *    every lane computes the same integers as the scalar path and the
- *    outputs are bitwise identical.
+ *    outputs are bitwise identical. The lazy FMA entries stay scalar
+ *    here: built that way they were no faster than the scalar loops.
  *  - avx512: 8-lane AVX-512 kernels (simd_kernels_avx512.cpp, compiled
- *    with -mavx512f/-mavx512ifma/... for that TU only). The NTT
- *    butterflies run Harvey-style lazy arithmetic on vpmadd52
- *    (52-bit IFMA) with a canonicalizing final pass, so outputs stay
- *    bitwise identical to scalar; moduli too wide for the 52-bit
- *    datapath (q >= 2^50, e.g. 60-bit special primes) delegate that
- *    call to the avx2 kernel.
+ *    with -mavx512f/-mavx512ifma/... for that TU only). Every
+ *    multiply-class kernel (NTT butterflies, Barrett mul/fma/reduce
+ *    sweeps, the limb-drop tail, the paired lazy FMAs and the
+ *    deferred 128-bit reduction) runs on vpmadd52 (52-bit IFMA); add
+ *    and sub reuse avx2. Each IFMA kernel computes exactly determined
+ *    integers and canonical outputs, so results stay bitwise
+ *    identical to scalar. Moduli too wide for the 52-bit datapath
+ *    (q >= 2^50) delegate that call to the avx2 entry.
  *
  * Selection contract (resolveLevel() is the pure, unit-testable core):
  *  - env FXHENN_SIMD=scalar|avx2|avx512|auto (unset/empty == auto);
@@ -168,15 +171,26 @@ struct Kernels
                           const Modulus &q, std::uint64_t w,
                           std::uint64_t wShoup);
 
-    /** acc[k] += a[k] * b[k], unreduced 128-bit lanes (the lazy
-     * keyswitch inner product). */
-    void (*fmaLazy)(unsigned __int128 *acc, const std::uint64_t *a,
-                    const std::uint64_t *b, std::size_t n);
+    /** acc0[k] += a[k] * b0[k] and acc1[k] += a[k] * b1[k],
+     * unreduced 128-bit lanes: one digit limb times both key parts
+     * of the lazy keyswitch inner product, a loaded once for both.
+     * Requires a[k], b0[k], b1[k] < q; acc0 and acc1 do not
+     * overlap. */
+    void (*fmaLazyPair)(unsigned __int128 *acc0, unsigned __int128 *acc1,
+                        const std::uint64_t *a, const std::uint64_t *b0,
+                        const std::uint64_t *b1, std::size_t n,
+                        const Modulus &q);
 
-    /** acc[k] += a[perm[k]] * b[k] (hoisted-rotation gather FMA). */
-    void (*fmaLazyGather)(unsigned __int128 *acc, const std::uint64_t *a,
-                          const std::uint32_t *perm,
-                          const std::uint64_t *b, std::size_t n);
+    /** fmaLazyPair with a[perm[k]] in place of a[k] (the
+     * hoisted-rotation gather FMA; each a[perm[k]] is gathered once
+     * for both accumulators). */
+    void (*fmaLazyGatherPair)(unsigned __int128 *acc0,
+                              unsigned __int128 *acc1,
+                              const std::uint64_t *a,
+                              const std::uint32_t *perm,
+                              const std::uint64_t *b0,
+                              const std::uint64_t *b1, std::size_t n,
+                              const Modulus &q);
 
     /** dst[k] = acc[k] mod q via reduceWide() — the single deferred
      * reduction closing a lazy accumulation. */

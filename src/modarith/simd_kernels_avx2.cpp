@@ -22,7 +22,7 @@
 #include <immintrin.h>
 
 #include "src/modarith/ntt.hpp"
-#include "src/modarith/simd_dispatch.hpp"
+#include "src/modarith/simd_kernels_internal.hpp"
 
 namespace fxhenn::simd {
 namespace {
@@ -356,70 +356,7 @@ subScaleArrayAvx2(std::uint64_t *dst, const std::uint64_t *a,
         dst[k] = q.mulShoup(q.sub(a[k], b[k]), w, wShoup);
 }
 
-// --- 128-bit lazy keyswitch inner product -------------------------------
-
-/**
- * Add the 4-lane 128-bit products (lo, hi) into acc[k0..k0+3]. The
- * accumulator memory layout is little-endian u128 = interleaved
- * [lo0, hi0, lo1, hi1, ...] u64 words; each __m256i holds two u128
- * values, so the products are shuffled into that interleave and added
- * with an explicit lane0->lane1 / lane2->lane3 carry.
- */
-inline void
-accumulate128(unsigned __int128 *acc, std::size_t k0, __m256i lo,
-              __m256i hi)
-{
-    __m256i *mem = reinterpret_cast<__m256i *>(acc + k0);
-    const __m256i v1 = _mm256_unpacklo_epi64(lo, hi); // [l0 h0 l2 h2]
-    const __m256i v2 = _mm256_unpackhi_epi64(lo, hi); // [l1 h1 l3 h3]
-    const __m256i p = _mm256_permute2x128_si256(v1, v2, 0x20);
-    const __m256i r = _mm256_permute2x128_si256(v1, v2, 0x31);
-    for (int half = 0; half < 2; ++half) {
-        const __m256i add = half == 0 ? p : r;
-        const __m256i cur = _mm256_loadu_si256(mem + half);
-        const __m256i sum = _mm256_add_epi64(cur, add);
-        // Carry out of the lo words (lanes 0, 2): sum < add unsigned.
-        const __m256i carry = cmpGtU64(add, sum);
-        // Shift each 128-bit lane left 8 bytes: the lo-lane carry mask
-        // lands on the hi word; hi-lane comparison garbage shifts out.
-        const __m256i carryHi = _mm256_slli_si256(carry, 8);
-        _mm256_storeu_si256(mem + half,
-                            _mm256_sub_epi64(sum, carryHi));
-    }
-}
-
-void
-fmaLazyAvx2(unsigned __int128 *acc, const std::uint64_t *a,
-            const std::uint64_t *b, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        __m256i lo, hi;
-        mul64(loadU64(a + k), loadU64(b + k), lo, hi);
-        accumulate128(acc, k, lo, hi);
-    }
-    for (; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[k]) * b[k];
-}
-
-void
-fmaLazyGatherAvx2(unsigned __int128 *acc, const std::uint64_t *a,
-                  const std::uint32_t *perm, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m128i idx = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(perm + k));
-        const __m256i va = _mm256_i32gather_epi64(
-            reinterpret_cast<const long long *>(a), idx, 8);
-        __m256i lo, hi;
-        mul64(va, loadU64(b + k), lo, hi);
-        accumulate128(acc, k, lo, hi);
-    }
-    for (; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[perm[k]]) * b[k];
-}
+// --- deferred reduction of the lazy keyswitch inner product ------------
 
 void
 reduceWideArrayAvx2(std::uint64_t *dst, const unsigned __int128 *acc,
@@ -476,21 +413,26 @@ namespace detail {
 const Kernels &
 avx2Kernels()
 {
-    static const Kernels table{
-        Level::avx2,
-        laneWidth(Level::avx2),
-        &nttForwardAvx2,
-        &nttInverseAvx2,
-        &addArrayAvx2,
-        &subArrayAvx2,
-        &mulArrayAvx2,
-        &fmaModArrayAvx2,
-        &reduceArrayAvx2,
-        &subScaleArrayAvx2,
-        &fmaLazyAvx2,
-        &fmaLazyGatherAvx2,
-        &reduceWideArrayAvx2,
-    };
+    // The lazy FMA entries stay scalar: a 4-lane version must build
+    // each 64x64 product from four mul_epu32 partial products and
+    // shuffle every u128 carry, and measured no faster than the
+    // scalar one-mulx-per-product loop at n = 8192 (the gather pair
+    // slower).
+    static const Kernels table = [] {
+        Kernels k = scalarKernels();
+        k.level = Level::avx2;
+        k.width = laneWidth(Level::avx2);
+        k.nttForward = &nttForwardAvx2;
+        k.nttInverse = &nttInverseAvx2;
+        k.addArray = &addArrayAvx2;
+        k.subArray = &subArrayAvx2;
+        k.mulArray = &mulArrayAvx2;
+        k.fmaModArray = &fmaModArrayAvx2;
+        k.reduceArray = &reduceArrayAvx2;
+        k.subScaleArray = &subScaleArrayAvx2;
+        k.reduceWideArray = &reduceWideArrayAvx2;
+        return k;
+    }();
     return table;
 }
 

@@ -3,21 +3,37 @@
  * AVX-512 (IFMA) modular-arithmetic kernels — 8 lanes of 64-bit
  * residues per vector op.
  *
- * The NTT butterflies here are the software analogue of the paper's
- * widened modular-multiply datapath: vpmadd52{lo,hi} gives eight
- * exact 52x52->104-bit multiply-adds per instruction, so the Shoup
- * multiply runs on a 52-bit word (W' = floor(W*2^52/q), derived from
- * the stored 64-bit Shoup constant by >> 12) with Harvey's lazy
- * bounds: butterfly operands stay in [0, 4q) (forward) / [0, 2q)
- * (inverse) and a final pass canonicalizes to [0, q). Because every
- * intermediate is an exactly-determined integer and the final values
- * are canonical residues, the output array is bitwise identical to
- * the scalar reference (tests/modarith/test_simd_differential.cpp).
+ * The software analogue of the paper's pipelined modular-multiply
+ * datapath: vpmadd52{lo,hi} gives eight exact 52x52->104-bit
+ * multiply-adds per instruction, and every multiply-class kernel of
+ * the table runs on it.
  *
- * Datapath limit: the lazy bound 4q < 2^52 requires q < 2^50. CKKS
- * data primes are capped at 50 bits (CkksParams::validate), but
- * special primes may reach 60 bits; calls with q >= 2^50 delegate to
- * the avx2 kernel, which has no width limit.
+ *  - NTT butterflies and the limb-drop tail: Shoup multiplies on the
+ *    52-bit word (W' = floor(W*2^52/q), derived from the stored
+ *    64-bit Shoup constant by >> 12). The butterflies keep Harvey's
+ *    lazy bounds — operands in [0, 4q) (forward) / [0, 2q) (inverse)
+ *    — and a final pass canonicalizes to [0, q).
+ *  - mulArray, fmaModArray, reduceArray: Modulus::reduce()'s Barrett
+ *    step re-derived on the 52-bit word (Barrett52), quotient for
+ *    quotient.
+ *  - The paired lazy FMAs: exact 100-bit products regrouped into the
+ *    scalar u128 accumulator layout, with an explicit low-to-high
+ *    carry.
+ *  - reduceWideArray: a 128-bit value split into three 52-bit digits,
+ *    each Shoup-multiplied by its power of 2^52 mod q, then
+ *    canonicalized.
+ *
+ * Every intermediate is an exactly-determined integer and every output
+ * a canonical residue (or the exact u128 sum), so the outputs are
+ * bitwise identical to the scalar reference
+ * (tests/modarith/test_simd_differential.cpp).
+ *
+ * Datapath limit: products and Barrett remainders must stay below
+ * 2^52 (4q < 2^52 for the lazy butterflies, 3q for Barrett, operands
+ * below 2^52 for the products), so every kernel here requires
+ * q < 2^50. CKKS data primes are capped at 50 bits
+ * (CkksParams::validate), but special primes may reach 60 bits;
+ * calls with q >= 2^50 delegate to the avx2 entry of the same kernel.
  *
  * Butterfly stages whose stride t is below the 8-lane width are
  * deinterleaved with permutex2var shuffles so they stay vector (one
@@ -43,7 +59,7 @@ namespace {
 
 constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
 
-/** q too wide for the 52-bit IFMA datapath (needs 4q < 2^52). */
+/** q too wide for the 52-bit IFMA datapath (the NTT needs 4q < 2^52). */
 inline bool
 tooWide(std::uint64_t q)
 {
@@ -375,6 +391,244 @@ subScaleArrayAvx512(std::uint64_t *dst, const std::uint64_t *a,
         dst[k] = q.mulShoup(q.sub(a[k], b[k]), w, wShoup);
 }
 
+/**
+ * Modulus::reduce() on the 52-bit word, for q < 2^50 with n =
+ * q.bits(). For x = hi * 2^52 + lo < 2^(2n) (lo < 2^52),
+ * q1 = x >> (n-1) < 2^(n+1) and q3 = madd52hi(q1, mu * 2^(51-n)) =
+ * floor(q1 * mu / 2^(n+1)): the scalar quotient estimate, integer for
+ * integer (mu < 2^(n+1), so mu * 2^(51-n) fits the 52-bit operand).
+ * r = x - q3 * q lies in [0, 3q) < 2^52, so its low 52 bits are
+ * exact, and two csubs canonicalize as the scalar path does.
+ */
+struct Barrett52
+{
+    explicit Barrett52(const Modulus &mod)
+        : q(_mm512_set1_epi64(static_cast<long long>(mod.value()))),
+          mu(_mm512_set1_epi64(static_cast<long long>(
+              mod.barrettMu() << (51 - mod.bits())))),
+          m52(_mm512_set1_epi64(static_cast<long long>(kMask52))),
+          loShift(_mm_cvtsi32_si128(static_cast<int>(mod.bits() - 1))),
+          hiShift(_mm_cvtsi32_si128(static_cast<int>(53 - mod.bits())))
+    {}
+
+    __m512i
+    reduce(__m512i lo, __m512i hi) const
+    {
+        const __m512i q1 = _mm512_or_si512(_mm512_srl_epi64(lo, loShift),
+                                           _mm512_sll_epi64(hi, hiShift));
+        const __m512i q3 = mul52hi(q1, mu);
+        const __m512i r =
+            _mm512_and_si512(_mm512_sub_epi64(lo, mul52lo(q3, q)), m52);
+        return csub(csub(r, q), q);
+    }
+
+    /** (x * y) mod q for x, y < q: the exact 100-bit product is
+     * (madd52hi, madd52lo). */
+    __m512i
+    mul(__m512i x, __m512i y) const
+    {
+        return reduce(mul52lo(x, y), mul52hi(x, y));
+    }
+
+    __m512i q, mu, m52;
+    __m128i loShift, hiShift;
+};
+
+void
+mulArrayAvx512(std::uint64_t *dst, const std::uint64_t *a,
+               const std::uint64_t *b, std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().mulArray(dst, a, b, n, q);
+        return;
+    }
+    const Barrett52 bar(q);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8)
+        storeU64(dst + k, bar.mul(loadU64(a + k), loadU64(b + k)));
+    for (; k < n; ++k)
+        dst[k] = q.mul(a[k], b[k]);
+}
+
+void
+fmaModArrayAvx512(std::uint64_t *dst, const std::uint64_t *a,
+                  const std::uint64_t *b, std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().fmaModArray(dst, a, b, n, q);
+        return;
+    }
+    const Barrett52 bar(q);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i p = bar.mul(loadU64(a + k), loadU64(b + k));
+        storeU64(dst + k,
+                 csub(_mm512_add_epi64(loadU64(dst + k), p), bar.q));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.add(dst[k], q.mul(a[k], b[k]));
+}
+
+void
+reduceArrayAvx512(std::uint64_t *dst, const std::uint64_t *src,
+                  std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().reduceArray(dst, src, n, q);
+        return;
+    }
+    const Barrett52 bar(q);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i x = loadU64(src + k);
+        storeU64(dst + k, bar.reduce(_mm512_and_si512(x, bar.m52),
+                                     _mm512_srli_epi64(x, 52)));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.reduce(src[k]);
+}
+
+// --- 128-bit lazy keyswitch inner product -------------------------------
+//
+// The accumulators keep the scalar memory layout (little-endian u128,
+// i.e. interleaved [lo0, hi0, lo1, hi1, ...] u64 words), so every
+// level leaves the same bytes behind.
+
+/** mem[0..4) u128 += p, p holding four u128 values in memory order:
+ * 64-bit adds, then each low word's carry into its high word. */
+inline void
+addU128(unsigned __int128 *mem, __m512i p)
+{
+    auto *words = reinterpret_cast<std::uint64_t *>(mem);
+    const __m512i sum = _mm512_add_epi64(loadU64(words), p);
+    // A low word (even lane) carried out iff it wrapped below p.
+    const __mmask8 carry = _mm512_mask_cmplt_epu64_mask(0x55, sum, p);
+    storeU64(words, _mm512_mask_add_epi64(sum, _kshiftli_mask8(carry, 1),
+                                          sum, _mm512_set1_epi64(1)));
+}
+
+/** acc[0..8) += x * y for x, y < 2^50: the exact product is
+ * hi52 * 2^52 + lo52 (madd52), regrouped into 64-bit halves and woven
+ * into the u128 memory order. */
+inline void
+fmaU128(unsigned __int128 *acc, __m512i x, __m512i y)
+{
+    const __m512i plo = mul52lo(x, y);
+    const __m512i phi = mul52hi(x, y);
+    const __m512i lo = _mm512_or_si512(plo, _mm512_slli_epi64(phi, 52));
+    const __m512i hi = _mm512_srli_epi64(phi, 12);
+    addU128(acc, _mm512_permutex2var_epi64(
+                     lo, _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11), hi));
+    addU128(acc + 4,
+            _mm512_permutex2var_epi64(
+                lo, _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15), hi));
+}
+
+void
+fmaLazyPairAvx512(unsigned __int128 *acc0, unsigned __int128 *acc1,
+                  const std::uint64_t *a, const std::uint64_t *b0,
+                  const std::uint64_t *b1, std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().fmaLazyPair(acc0, acc1, a, b0, b1, n, q);
+        return;
+    }
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i x = loadU64(a + k);
+        fmaU128(acc0 + k, x, loadU64(b0 + k));
+        fmaU128(acc1 + k, x, loadU64(b1 + k));
+    }
+    for (; k < n; ++k) {
+        acc0[k] += static_cast<unsigned __int128>(a[k]) * b0[k];
+        acc1[k] += static_cast<unsigned __int128>(a[k]) * b1[k];
+    }
+}
+
+void
+fmaLazyGatherPairAvx512(unsigned __int128 *acc0, unsigned __int128 *acc1,
+                        const std::uint64_t *a, const std::uint32_t *perm,
+                        const std::uint64_t *b0, const std::uint64_t *b1,
+                        std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().fmaLazyGatherPair(acc0, acc1, a, perm, b0,
+                                                b1, n, q);
+        return;
+    }
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m256i idx = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(perm + k));
+        const __m512i x = _mm512_i32gather_epi64(idx, a, 8);
+        fmaU128(acc0 + k, x, loadU64(b0 + k));
+        fmaU128(acc1 + k, x, loadU64(b1 + k));
+    }
+    for (; k < n; ++k) {
+        const std::uint64_t x = a[perm[k]];
+        acc0[k] += static_cast<unsigned __int128>(x) * b0[k];
+        acc1[k] += static_cast<unsigned __int128>(x) * b1[k];
+    }
+}
+
+/**
+ * dst[k] = acc[k] mod q for any 128-bit acc[k], q < 2^50. Each x is
+ * split into 52-bit digits x = d0 + d1 * 2^52 + d2 * 2^104 (d2 <
+ * 2^24), and digit i goes through the 52-bit Shoup multiply by
+ * 2^(52i) mod q, landing in [0, 2q). The sum lies in [0, 6q) < 2^53
+ * and three csubs (4q, 2q, q) canonicalize it.
+ */
+void
+reduceWideArrayAvx512(std::uint64_t *dst, const unsigned __int128 *acc,
+                      std::size_t n, const Modulus &q)
+{
+    const std::uint64_t qw = q.value();
+    if (tooWide(qw)) {
+        detail::avx2Kernels().reduceWideArray(dst, acc, n, q);
+        return;
+    }
+    using u128 = unsigned __int128;
+    const auto shoup52Constant = [qw](std::uint64_t w) {
+        return _mm512_set1_epi64(
+            static_cast<long long>((static_cast<u128>(w) << 52) / qw));
+    };
+    const auto set1 = [](std::uint64_t v) {
+        return _mm512_set1_epi64(static_cast<long long>(v));
+    };
+    const std::uint64_t r52 =
+        static_cast<std::uint64_t>((static_cast<u128>(1) << 52) % qw);
+    const std::uint64_t r104 =
+        static_cast<std::uint64_t>(static_cast<u128>(r52) * r52 % qw);
+    const __m512i qv = set1(qw), q2v = set1(2 * qw), q4v = set1(4 * qw);
+    const __m512i m52 = set1(kMask52);
+    const __m512i w0 = set1(1), w0p = shoup52Constant(1);
+    const __m512i w1 = set1(r52), w1p = shoup52Constant(r52);
+    const __m512i w2 = set1(r104), w2p = shoup52Constant(r104);
+    const __m512i evens = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const __m512i odds = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    const auto *words = reinterpret_cast<const std::uint64_t *>(acc);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i v0 = loadU64(words + 2 * k);
+        const __m512i v1 = loadU64(words + 2 * k + 8);
+        const __m512i xl = _mm512_permutex2var_epi64(v0, evens, v1);
+        const __m512i xh = _mm512_permutex2var_epi64(v0, odds, v1);
+        const __m512i d0 = _mm512_and_si512(xl, m52);
+        const __m512i d1 = _mm512_and_si512(
+            _mm512_or_si512(_mm512_srli_epi64(xl, 52),
+                            _mm512_slli_epi64(xh, 12)),
+            m52);
+        const __m512i d2 = _mm512_srli_epi64(xh, 40);
+        const __m512i sum = _mm512_add_epi64(
+            _mm512_add_epi64(shoup52(d0, w0, w0p, qv, m52),
+                             shoup52(d1, w1, w1p, qv, m52)),
+            shoup52(d2, w2, w2p, qv, m52));
+        storeU64(dst + k, csub(csub(csub(sum, q4v), q2v), qv));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.reduceWide(acc[k]);
+}
+
 } // namespace
 
 namespace detail {
@@ -382,17 +636,22 @@ namespace detail {
 const Kernels &
 avx512Kernels()
 {
-    // The NTT and the limb-drop tail (a Shoup multiply by one scalar)
-    // run on the IFMA datapath; the other array kernels reuse the avx2
-    // implementations (already vector, and the 128-bit lazy
-    // accumulator is bound by the 64x64 multiply either way).
+    // Every multiply-class entry has an IFMA version; add/sub are
+    // not multiply-bound and reuse the avx2 kernels. Each IFMA
+    // kernel delegates calls with q >= 2^50 to its avx2 entry.
     static const Kernels table = [] {
         Kernels k = avx2Kernels();
         k.level = Level::avx512;
         k.width = laneWidth(Level::avx512);
         k.nttForward = &nttForwardAvx512;
         k.nttInverse = &nttInverseAvx512;
+        k.mulArray = &mulArrayAvx512;
+        k.fmaModArray = &fmaModArrayAvx512;
+        k.reduceArray = &reduceArrayAvx512;
         k.subScaleArray = &subScaleArrayAvx512;
+        k.fmaLazyPair = &fmaLazyPairAvx512;
+        k.fmaLazyGatherPair = &fmaLazyGatherPairAvx512;
+        k.reduceWideArray = &reduceWideArrayAvx512;
         return k;
     }();
     return table;

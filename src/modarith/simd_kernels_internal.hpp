@@ -4,9 +4,11 @@
  * translation units. Each TU defines its table accessor; a definition
  * exists only when CMake compiled that TU (FXHENN_HAVE_AVX2_TU /
  * FXHENN_HAVE_AVX512_TU), so callers must guard uses with those
- * macros. The avx512 TU also reuses avx2 kernels for the entries it
- * does not re-implement, and delegates wide-modulus NTT calls
- * (q >= 2^50, outside the 52-bit IFMA datapath) to the avx2 table.
+ * macros. Each vector table starts from the next narrower one: avx2
+ * from scalar (keeping the scalar lazy FMA entries), avx512 from avx2
+ * (keeping add/sub), and every avx512 IFMA kernel delegates
+ * wide-modulus calls (q >= 2^50, outside the 52-bit datapath) to its
+ * avx2 entry.
  */
 #ifndef FXHENN_MODARITH_SIMD_KERNELS_INTERNAL_HPP
 #define FXHENN_MODARITH_SIMD_KERNELS_INTERNAL_HPP

@@ -121,20 +121,27 @@ subScaleArrayScalar(std::uint64_t *dst, const std::uint64_t *a,
 }
 
 void
-fmaLazyScalar(unsigned __int128 *acc, const std::uint64_t *a,
-              const std::uint64_t *b, std::size_t n)
+fmaLazyPairScalar(unsigned __int128 *acc0, unsigned __int128 *acc1,
+                  const std::uint64_t *a, const std::uint64_t *b0,
+                  const std::uint64_t *b1, std::size_t n, const Modulus &)
 {
-    for (std::size_t k = 0; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[k]) * b[k];
+    for (std::size_t k = 0; k < n; ++k) {
+        acc0[k] += static_cast<unsigned __int128>(a[k]) * b0[k];
+        acc1[k] += static_cast<unsigned __int128>(a[k]) * b1[k];
+    }
 }
 
 void
-fmaLazyGatherScalar(unsigned __int128 *acc, const std::uint64_t *a,
-                    const std::uint32_t *perm, const std::uint64_t *b,
-                    std::size_t n)
+fmaLazyGatherPairScalar(unsigned __int128 *acc0, unsigned __int128 *acc1,
+                        const std::uint64_t *a, const std::uint32_t *perm,
+                        const std::uint64_t *b0, const std::uint64_t *b1,
+                        std::size_t n, const Modulus &)
 {
-    for (std::size_t k = 0; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[perm[k]]) * b[k];
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::uint64_t x = a[perm[k]];
+        acc0[k] += static_cast<unsigned __int128>(x) * b0[k];
+        acc1[k] += static_cast<unsigned __int128>(x) * b1[k];
+    }
 }
 
 void
@@ -163,8 +170,8 @@ scalarKernels()
         &fmaModArrayScalar,
         &reduceArrayScalar,
         &subScaleArrayScalar,
-        &fmaLazyScalar,
-        &fmaLazyGatherScalar,
+        &fmaLazyPairScalar,
+        &fmaLazyGatherPairScalar,
         &reduceWideArrayScalar,
     };
     return table;

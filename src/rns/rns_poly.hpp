@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/rns/lazy_accumulator.hpp"
 #include "src/rns/rns_basis.hpp"
 #include "src/rns/workspace_pool.hpp"
 
@@ -146,19 +145,6 @@ class RnsPoly
      * round trip).
      */
     RnsPoly permuteNtt(std::span<const std::uint32_t> perm) const;
-
-    /**
-     * Lazy (unreduced) FMA of one limb into a 128-bit accumulator:
-     * acc[k] += limb(i)[k] * key[k]. The caller reduces once via
-     * LazyLimbAccumulator::reduceInto() — the keyswitch digit inner
-     * product path.
-     */
-    void
-    fmaLazyInto(rns::LazyLimbAccumulator &acc, std::size_t i,
-                std::span<const std::uint64_t> key) const
-    {
-        acc.fma(limb(i), key);
-    }
 
     bool operator==(const RnsPoly &other) const;
 

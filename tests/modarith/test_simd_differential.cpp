@@ -42,14 +42,28 @@ reachableLevels()
     return levels;
 }
 
+/** The smallest NTT prime at or above 2^50: the narrowest modulus the
+ * avx512 kernels hand to avx2 instead of the 52-bit IFMA datapath. */
+std::uint64_t
+firstWideNttPrime(std::uint64_t n)
+{
+    std::uint64_t candidate = (std::uint64_t{1} << 50) + 1;
+    while (!isPrime(candidate))
+        candidate += 2 * n;
+    return candidate;
+}
+
 /** Every preset data/special prime width the stack can configure,
- * including the ones past the avx512 52-bit datapath. */
+ * including the ones past the avx512 52-bit datapath: the largest
+ * NTT primes below 2^50 and 2^52 and the smallest at or above 2^50
+ * bracket the IFMA delegation threshold. */
 std::vector<Modulus>
 presetPrimes()
 {
     std::vector<Modulus> primes;
-    for (unsigned bits : {30u, 36u, 42u, 50u, 55u, 60u})
+    for (unsigned bits : {30u, 36u, 42u, 50u, 52u, 55u, 60u})
         primes.emplace_back(generateNttPrimes(bits, 4096, 1)[0]);
+    primes.emplace_back(firstWideNttPrime(4096));
     return primes;
 }
 
@@ -134,34 +148,60 @@ TEST(SimdDifferential, LazyAccumulatorKernelsMatchScalarBitwise)
     std::mt19937_64 rng(77);
     const auto &ref = simd::kernelsFor(simd::Level::scalar);
     const std::size_t n = 1024 + 5;
+    const auto sameBytes = [n](const std::vector<unsigned __int128> &x,
+                               const std::vector<unsigned __int128> &y) {
+        return std::memcmp(x.data(), y.data(),
+                           n * sizeof(unsigned __int128)) == 0;
+    };
     for (const Modulus &q : presetPrimes()) {
         std::vector<std::uint32_t> perm(n);
         std::iota(perm.begin(), perm.end(), 0u);
         std::shuffle(perm.begin(), perm.end(), rng);
         const auto b0 = randomResidues(rng, n, q.value());
         const auto b1 = randomResidues(rng, n, q.value());
+        const auto b2 = randomResidues(rng, n, q.value());
+        const auto b3 = randomResidues(rng, n, q.value());
         const auto a0 = randomResidues(rng, n, q.value());
         const auto a1 = randomResidues(rng, n, q.value());
-        for (simd::Level level : reachableLevels()) {
-            const auto &kern = simd::kernelsFor(level);
-            std::vector<unsigned __int128> want(n, 0), got(n, 0);
-            ref.fmaLazy(want.data(), a0.data(), b0.data(), n);
-            kern.fmaLazy(got.data(), a0.data(), b0.data(), n);
-            ref.fmaLazyGather(want.data(), a1.data(), perm.data(),
-                              b1.data(), n);
-            kern.fmaLazyGather(got.data(), a1.data(), perm.data(),
-                               b1.data(), n);
-            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                                     n * sizeof(unsigned __int128)))
-                << "lazy FMA @" << simd::levelName(level)
-                << " q=" << q.value();
+        // Two starting rows: zero, and low words within 2^20 of
+        // 2^64 - 1 under random high words, so nearly every product
+        // carries into the high word.
+        std::vector<unsigned __int128> zero(n, 0), nearCarry(n);
+        for (auto &x : nearCarry)
+            x = (static_cast<unsigned __int128>(rng() >> 1) << 64) |
+                (~std::uint64_t{0} - rng() % (1u << 20));
+        for (const auto *start : {&zero, &nearCarry}) {
+            const char *row = start == &zero ? "zero" : "near-carry";
+            for (simd::Level level : reachableLevels()) {
+                const auto &kern = simd::kernelsFor(level);
+                auto want0 = *start, want1 = *start;
+                auto got0 = *start, got1 = *start;
+                ref.fmaLazyPair(want0.data(), want1.data(), a0.data(),
+                                b0.data(), b1.data(), n, q);
+                kern.fmaLazyPair(got0.data(), got1.data(), a0.data(),
+                                 b0.data(), b1.data(), n, q);
+                EXPECT_TRUE(sameBytes(want0, got0) && sameBytes(want1, got1))
+                    << "fmaLazyPair @" << simd::levelName(level)
+                    << " q=" << q.value() << " row=" << row;
+                ref.fmaLazyGatherPair(want0.data(), want1.data(), a1.data(),
+                                      perm.data(), b2.data(), b3.data(), n,
+                                      q);
+                kern.fmaLazyGatherPair(got0.data(), got1.data(), a1.data(),
+                                       perm.data(), b2.data(), b3.data(), n,
+                                       q);
+                EXPECT_TRUE(sameBytes(want0, got0) && sameBytes(want1, got1))
+                    << "fmaLazyGatherPair @" << simd::levelName(level)
+                    << " q=" << q.value() << " row=" << row;
 
-            std::vector<std::uint64_t> wantR(n), gotR(n);
-            ref.reduceWideArray(wantR.data(), want.data(), n, q);
-            kern.reduceWideArray(gotR.data(), got.data(), n, q);
-            EXPECT_EQ(wantR, gotR)
-                << "reduceWideArray @" << simd::levelName(level)
-                << " q=" << q.value();
+                std::vector<std::uint64_t> wantR(n), gotR(n);
+                for (const auto *acc : {&want0, &want1}) {
+                    ref.reduceWideArray(wantR.data(), acc->data(), n, q);
+                    kern.reduceWideArray(gotR.data(), acc->data(), n, q);
+                    EXPECT_EQ(wantR, gotR)
+                        << "reduceWideArray @" << simd::levelName(level)
+                        << " q=" << q.value() << " row=" << row;
+                }
+            }
         }
     }
 }

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iostream>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -195,6 +197,32 @@ TEST(SimdDispatch, AvailabilityLadderIsMonotone)
     EXPECT_TRUE(simd::available(simd::Level::scalar));
     EXPECT_TRUE(simd::compiledIn(simd::Level::scalar));
     EXPECT_TRUE(simd::hostSupports(simd::Level::scalar));
+}
+
+TEST(SimdDispatch, EveryLevelIsReachableOnThisHost)
+{
+    // The differential and property suites compare only the levels
+    // reachable here, so on a host or build without, say, IFMA the
+    // avx512 kernels never run and those suites still pass. This test
+    // makes that gap visible: it skips, naming each unreachable level
+    // and why, instead of passing.
+    std::string reachable, unreachable;
+    for (simd::Level level : reachableLevels())
+        reachable += std::string(" ") + simd::levelName(level);
+    std::cout << "reachable SIMD levels:" << reachable << "\n";
+    for (simd::Level level : {simd::Level::avx2, simd::Level::avx512}) {
+        if (simd::available(level))
+            continue;
+        unreachable += std::string(unreachable.empty() ? "" : ", ") +
+                       simd::levelName(level) +
+                       (simd::compiledIn(level) ? " (host lacks the ISA)"
+                                                : " (not compiled in)");
+    }
+    if (!unreachable.empty()) {
+        GTEST_SKIP() << "SIMD kernels not exercised on this host: "
+                     << unreachable;
+    }
+    EXPECT_EQ(reachableLevels().size(), 3u);
 }
 
 } // namespace

@@ -38,20 +38,24 @@ TEST(LazyReductionProperty, LazyEqualsEagerAtEveryChainPrime)
     Rng rng(20260805);
     const std::size_t n = 16;
     for (const Modulus &q : chainPrimes()) {
-        std::vector<std::uint64_t> a(n), b(n), eager(n, 0);
-        rns::LazyLimbAccumulator acc(n);
+        std::vector<std::uint64_t> a(n), b0(n), b1(n), eager0(n, 0),
+            eager1(n, 0);
+        rns::LazyLimbAccumulator acc(q, n);
         // Depth 32 covers every level count the presets reach.
         for (int depth = 0; depth < 32; ++depth) {
             for (std::size_t k = 0; k < n; ++k) {
                 a[k] = rng.uniform(q.value());
-                b[k] = rng.uniform(q.value());
-                eager[k] = q.add(eager[k], q.mul(a[k], b[k]));
+                b0[k] = rng.uniform(q.value());
+                b1[k] = rng.uniform(q.value());
+                eager0[k] = q.add(eager0[k], q.mul(a[k], b0[k]));
+                eager1[k] = q.add(eager1[k], q.mul(a[k], b1[k]));
             }
-            acc.fma(a, b);
+            acc.fma(a, b0, b1);
         }
-        std::vector<std::uint64_t> lazy(n);
-        acc.reduceInto(lazy, q);
-        ASSERT_EQ(lazy, eager) << "prime " << q.value();
+        std::vector<std::uint64_t> lazy0(n), lazy1(n);
+        acc.reduceInto(lazy0, lazy1);
+        ASSERT_EQ(lazy0, eager0) << "prime " << q.value();
+        ASSERT_EQ(lazy1, eager1) << "prime " << q.value();
     }
 }
 
@@ -68,17 +72,19 @@ TEST(LazyReductionProperty, WorstCaseDepthAtMaximalOperands)
         const std::size_t n = 4;
         std::vector<std::uint64_t> worst(n, q.value() - 1);
         std::vector<std::uint64_t> eager(n, 0);
-        rns::LazyLimbAccumulator acc(n);
+        rns::LazyLimbAccumulator acc(q, n);
         for (std::uint64_t d = 0; d < depth; ++d) {
-            acc.fma(worst, worst);
+            acc.fma(worst, worst, worst);
             for (std::size_t k = 0; k < n; ++k)
                 eager[k] =
                     q.add(eager[k], q.mul(worst[k], worst[k]));
         }
         EXPECT_EQ(acc.depth(), depth);
-        std::vector<std::uint64_t> lazy(n);
-        acc.reduceInto(lazy, q);
-        ASSERT_EQ(lazy, eager)
+        std::vector<std::uint64_t> lazy0(n), lazy1(n);
+        acc.reduceInto(lazy0, lazy1);
+        ASSERT_EQ(lazy0, eager)
+            << "prime " << q.value() << " depth " << depth;
+        ASSERT_EQ(lazy1, eager)
             << "prime " << q.value() << " depth " << depth;
     }
 }

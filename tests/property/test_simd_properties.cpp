@@ -25,15 +25,22 @@
 namespace fxhenn {
 namespace {
 
-/** Every prime width the parameter presets use, plus the extremes. */
+/** Every prime width the parameter presets use, plus the extremes
+ * and the primes that bracket the avx512 IFMA delegation threshold
+ * (q >= 2^50): the largest below 2^50 and 2^52, and the smallest NTT
+ * prime at or above 2^50. */
 std::vector<Modulus>
 chainPrimes()
 {
     std::vector<Modulus> primes;
-    for (unsigned bits : {30u, 36u, 42u, 50u, 55u, 60u}) {
+    for (unsigned bits : {30u, 36u, 42u, 50u, 52u, 55u, 60u}) {
         for (std::uint64_t q : generateNttPrimes(bits, 4096, 2))
             primes.emplace_back(q);
     }
+    std::uint64_t wide = (std::uint64_t{1} << 50) + 1;
+    while (!isPrime(wide))
+        wide += 2 * 4096;
+    primes.emplace_back(wide);
     return primes;
 }
 
@@ -154,6 +161,15 @@ TEST(SimdProperty, ReduceBoundariesIncludeBarrettEdgeInputs)
     }
 }
 
+bool
+sameBytes(const std::vector<unsigned __int128> &x,
+          const std::vector<unsigned __int128> &y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(),
+                       x.size() * sizeof(unsigned __int128)) == 0;
+}
+
 TEST(SimdProperty, WorstCaseLazyDepthAtEveryPrimeAndWidth)
 {
     // Saturate the 128-bit overflow budget with (q-1)^2 terms at the
@@ -168,19 +184,62 @@ TEST(SimdProperty, WorstCaseLazyDepthAtEveryPrimeAndWidth)
         const std::vector<std::uint64_t> worst(n, q.value() - 1);
         for (simd::Level level : reachableLevels()) {
             const auto &kern = simd::kernelsFor(level);
-            std::vector<unsigned __int128> want(n, 0), got(n, 0);
+            std::vector<unsigned __int128> want0(n, 0), want1(n, 0),
+                got0(n, 0), got1(n, 0);
             for (std::uint64_t d = 0; d < depth; ++d) {
-                ref.fmaLazy(want.data(), worst.data(), worst.data(), n);
-                kern.fmaLazy(got.data(), worst.data(), worst.data(), n);
+                ref.fmaLazyPair(want0.data(), want1.data(), worst.data(),
+                                worst.data(), worst.data(), n, q);
+                kern.fmaLazyPair(got0.data(), got1.data(), worst.data(),
+                                 worst.data(), worst.data(), n, q);
             }
-            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                     n * sizeof(unsigned __int128)))
+            ASSERT_TRUE(sameBytes(want0, got0) && sameBytes(want1, got1))
                 << "accumulator bytes q=" << q.value() << " depth "
                 << depth << " @" << simd::levelName(level);
             std::vector<std::uint64_t> wantR(n), gotR(n);
-            ref.reduceWideArray(wantR.data(), want.data(), n, q);
-            kern.reduceWideArray(gotR.data(), got.data(), n, q);
+            ref.reduceWideArray(wantR.data(), want0.data(), n, q);
+            kern.reduceWideArray(gotR.data(), got0.data(), n, q);
             ASSERT_EQ(wantR, gotR)
+                << "reduceWide q=" << q.value() << " depth " << depth
+                << " @" << simd::levelName(level);
+        }
+    }
+}
+
+TEST(SimdProperty, WorstCaseLazyDepthAtMaxLazyDepth)
+{
+    // The full budget, not a capped loop: each row starts at
+    // (maxLazyDepth - 64) * (q-1)^2 and takes 64 more (q-1)^2 terms
+    // through the kernels, ending at exactly maxLazyDepth terms — the
+    // largest sum the overflow budget admits (2^28 terms for a 50-bit
+    // prime, 2^26 past the IFMA threshold). Since (q-1)^2 = 1 mod q,
+    // the reduction must also equal maxLazyDepth mod q.
+    const auto &ref = simd::kernelsFor(simd::Level::scalar);
+    const std::size_t n = 21;
+    const std::uint64_t tail = 64;
+    for (const Modulus &q : chainPrimes()) {
+        const std::uint64_t depth = q.maxLazyDepth();
+        const unsigned __int128 term =
+            static_cast<unsigned __int128>(q.value() - 1) *
+            (q.value() - 1);
+        const std::vector<std::uint64_t> worst(n, q.value() - 1);
+        const std::vector<unsigned __int128> start(n, term * (depth - tail));
+        std::vector<std::uint64_t> expect(n, depth % q.value());
+        for (simd::Level level : reachableLevels()) {
+            const auto &kern = simd::kernelsFor(level);
+            auto want0 = start, want1 = start, got0 = start, got1 = start;
+            for (std::uint64_t d = 0; d < tail; ++d) {
+                ref.fmaLazyPair(want0.data(), want1.data(), worst.data(),
+                                worst.data(), worst.data(), n, q);
+                kern.fmaLazyPair(got0.data(), got1.data(), worst.data(),
+                                 worst.data(), worst.data(), n, q);
+            }
+            ASSERT_EQ(want0[0], term * depth) << "q=" << q.value();
+            ASSERT_TRUE(sameBytes(want0, got0) && sameBytes(want1, got1))
+                << "accumulator bytes q=" << q.value() << " depth "
+                << depth << " @" << simd::levelName(level);
+            std::vector<std::uint64_t> gotR(n);
+            kern.reduceWideArray(gotR.data(), got1.data(), n, q);
+            ASSERT_EQ(expect, gotR)
                 << "reduceWide q=" << q.value() << " depth " << depth
                 << " @" << simd::levelName(level);
         }
@@ -200,16 +259,21 @@ TEST(SimdProperty, GatherFmaRaggedTailsAndBoundaries)
             std::rotate(perm.begin(), perm.begin() + (n / 2),
                         perm.end());
             const auto a = boundaryResidues(rng, n, q.value());
-            const auto b = boundaryResidues(rng, n, q.value());
+            const auto b0 = boundaryResidues(rng, n, q.value());
+            auto b1 = boundaryResidues(rng, n, q.value());
+            std::reverse(b1.begin(), b1.end());
             for (simd::Level level : reachableLevels()) {
-                std::vector<unsigned __int128> want(n, 7), got(n, 7);
-                ref.fmaLazyGather(want.data(), a.data(), perm.data(),
-                                  b.data(), n);
-                simd::kernelsFor(level).fmaLazyGather(
-                    got.data(), a.data(), perm.data(), b.data(), n);
-                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                         n * sizeof(unsigned __int128)))
-                    << "fmaLazyGather n=" << n << " q=" << q.value()
+                std::vector<unsigned __int128> want0(n, 7), want1(n, 9),
+                    got0(n, 7), got1(n, 9);
+                ref.fmaLazyGatherPair(want0.data(), want1.data(), a.data(),
+                                      perm.data(), b0.data(), b1.data(), n,
+                                      q);
+                simd::kernelsFor(level).fmaLazyGatherPair(
+                    got0.data(), got1.data(), a.data(), perm.data(),
+                    b0.data(), b1.data(), n, q);
+                ASSERT_TRUE(sameBytes(want0, got0) &&
+                            sameBytes(want1, got1))
+                    << "fmaLazyGatherPair n=" << n << " q=" << q.value()
                     << " @" << simd::levelName(level);
             }
         }

@@ -150,20 +150,25 @@ TEST(LazyLimbAccumulator, MatchesEagerModMulChain)
     const Modulus q(1073741827); // fits any 30-bit NTT prime shape
     const std::size_t n = 32;
     Rng rng(77);
-    std::vector<std::uint64_t> a(n), b(n), eager(n, 0);
+    std::vector<std::uint64_t> a(n), b0(n), b1(n), eager0(n, 0),
+        eager1(n, 0);
 
-    LazyLimbAccumulator acc(n);
+    LazyLimbAccumulator acc(q, n);
     for (int d = 0; d < 20; ++d) {
         for (std::size_t k = 0; k < n; ++k) {
             a[k] = rng.uniform(q.value());
-            b[k] = rng.uniform(q.value());
-            eager[k] = q.add(eager[k], q.mul(a[k], b[k]));
+            b0[k] = rng.uniform(q.value());
+            b1[k] = rng.uniform(q.value());
+            eager0[k] = q.add(eager0[k], q.mul(a[k], b0[k]));
+            eager1[k] = q.add(eager1[k], q.mul(a[k], b1[k]));
         }
-        acc.fma(a, b);
+        acc.fma(a, b0, b1);
     }
-    std::vector<std::uint64_t> lazy(n);
-    acc.reduceInto(lazy, q);
-    EXPECT_EQ(lazy, eager);
+    EXPECT_EQ(acc.depth(), 20u);
+    std::vector<std::uint64_t> lazy0(n), lazy1(n);
+    acc.reduceInto(lazy0, lazy1);
+    EXPECT_EQ(lazy0, eager0);
+    EXPECT_EQ(lazy1, eager1);
 }
 
 TEST(LazyLimbAccumulator, GatherAppliesPermutationToFirstOperand)
@@ -171,21 +176,25 @@ TEST(LazyLimbAccumulator, GatherAppliesPermutationToFirstOperand)
     freshPool();
     const Modulus q(65537);
     const std::size_t n = 8;
-    std::vector<std::uint64_t> a(n), b(n), expect(n);
+    std::vector<std::uint64_t> a(n), b0(n), b1(n), expect0(n), expect1(n);
     std::vector<std::uint32_t> perm(n);
     for (std::size_t k = 0; k < n; ++k) {
         a[k] = k + 1;
-        b[k] = 2 * k + 1;
+        b0[k] = 2 * k + 1;
+        b1[k] = 3 * k + 2;
         perm[k] = static_cast<std::uint32_t>(n - 1 - k);
     }
-    for (std::size_t k = 0; k < n; ++k)
-        expect[k] = q.mul(a[perm[k]], b[k]);
+    for (std::size_t k = 0; k < n; ++k) {
+        expect0[k] = q.mul(a[perm[k]], b0[k]);
+        expect1[k] = q.mul(a[perm[k]], b1[k]);
+    }
 
-    LazyLimbAccumulator acc(n);
-    acc.fmaGather(a, perm, b);
-    std::vector<std::uint64_t> got(n);
-    acc.reduceInto(got, q);
-    EXPECT_EQ(got, expect);
+    LazyLimbAccumulator acc(q, n);
+    acc.fmaGather(a, perm, b0, b1);
+    std::vector<std::uint64_t> got0(n), got1(n);
+    acc.reduceInto(got0, got1);
+    EXPECT_EQ(got0, expect0);
+    EXPECT_EQ(got1, expect1);
 }
 
 } // namespace
