@@ -37,7 +37,7 @@
 #include "src/hecnn/backend.hpp"
 #include "src/hecnn/client_session.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
+#include "src/hecnn/plan_executor.hpp"
 #include "src/modarith/ntt.hpp"
 #include "src/modarith/primes.hpp"
 #include "src/modarith/simd_dispatch.hpp"
@@ -423,10 +423,16 @@ BM_EncryptedInference(benchmark::State &state)
     const auto params = ckks::testParams(2048, 7, 30);
     const auto plan = hecnn::compile(net, params);
     ckks::CkksContext ctx(params);
-    hecnn::Runtime runtime(plan, ctx, /*seed=*/1);
+    const hecnn::ClientSession session(plan, ctx, /*seed=*/1);
+    const hecnn::PlaintextPool pool(plan, ctx);
+    const hecnn::PlanExecutor executor(plan, ctx, session.relinKey(),
+                                       session.galoisKeys(), pool);
     const nn::Tensor input = nn::syntheticInput(net, 1);
+    std::uint64_t request = 0;
     for (auto _ : state) {
-        auto logits = runtime.infer(input);
+        const auto run =
+            executor.execute(session.encryptInput(input, request++));
+        auto logits = session.decryptLogits(run.regs);
         benchmark::DoNotOptimize(logits);
     }
 }

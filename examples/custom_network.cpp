@@ -10,9 +10,9 @@
 #include <iostream>
 #include <memory>
 
+#include "src/engine/inference_engine.hpp"
 #include "src/fxhenn/framework.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/nn/network.hpp"
 
@@ -59,11 +59,19 @@ main()
         const auto params = ckks::testParams(2048, 7, 30);
         const auto plan = hecnn::compile(net, params);
         ckks::CkksContext ctx(params);
-        hecnn::Runtime runtime(plan, ctx, 11);
+        engine::EngineOptions opts;
+        opts.workers = 1;
+        opts.keySeed = 11;
+        engine::InferenceEngine server(plan, ctx, opts);
 
         const nn::Tensor input = nn::syntheticInput(net, 5);
         const nn::Tensor expected = net.forward(input);
-        const auto logits = runtime.infer(input);
+        const auto outcome = server.runBatch({input}).front();
+        if (outcome.failure) {
+            std::cout << outcome.failure->render();
+            return 1;
+        }
+        const auto &logits = outcome.logits;
 
         double max_err = 0.0;
         for (std::size_t i = 0; i < logits.size(); ++i)

@@ -16,9 +16,9 @@
 #include <iostream>
 
 #include "src/common/timer.hpp"
+#include "src/engine/inference_engine.hpp"
 #include "src/fxhenn/framework.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/hecnn/stats.hpp"
 #include "src/nn/model_zoo.hpp"
 
@@ -42,17 +42,25 @@ main()
 
     ckks::CkksContext ctx(params);
     Timer setup;
-    hecnn::Runtime runtime(plan, ctx, /*seed=*/2023);
+    engine::EngineOptions opts;
+    opts.workers = 1;
+    opts.keySeed = 2023;
+    engine::InferenceEngine server(plan, ctx, opts);
     std::cout << "Key generation (relin + "
-              << runtime.galoisKeyCount() << " Galois keys): "
+              << server.session().galoisKeyCount() << " Galois keys): "
               << setup.elapsedSeconds() << " s\n";
 
     const nn::Tensor input = nn::syntheticInput(net, 7);
     const nn::Tensor expected = net.forward(input);
 
     Timer infer;
-    const auto logits = runtime.infer(input);
+    const auto outcome = server.runBatch({input}).front();
     const double cpu_seconds = infer.elapsedSeconds();
+    if (outcome.failure) {
+        std::cout << outcome.failure->render();
+        return 1;
+    }
+    const auto &logits = outcome.logits;
 
     double max_err = 0.0;
     std::size_t argmax_he = 0, argmax_pt = 0;

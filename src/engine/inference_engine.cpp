@@ -47,7 +47,7 @@ InferenceEngine::InferenceEngine(const hecnn::HeNetworkPlan &plan,
                 session_.galoisKeys(), pool_, options.guard,
                 options.exec),
       estimator_(options.serviceEwmaAlpha), breaker_(options.breaker),
-      lanes_(plan.batchLanes == 0 ? 1 : plan.batchLanes),
+      lanes_(plan.batchLanes),
       queue_(options.queueCapacity == 0 ? 1 : options.queueCapacity)
 {
     FXHENN_FATAL_IF(options.workers == 0,
@@ -85,103 +85,6 @@ InferenceEngine::rejectOutcome(const char *op,
     return out;
 }
 
-hecnn::InferOutcome
-InferenceEngine::runRequest(
-    const nn::Tensor &input, std::uint64_t index,
-    const std::optional<Clock::time_point> &deadline)
-{
-    FXHENN_TELEM_COUNT("engine.requests", 1);
-    hecnn::InferOutcome out;
-    // Injected transient infrastructure failure (a stand-in for a
-    // flaky interconnect, a preempted accelerator, ...): classified
-    // transient by transientFailure(), so the retry loop re-runs it.
-    if (auto fault = robustness::fireFault("engine.request")) {
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "transient";
-        report.reason = "injected transient request fault (kind " +
-                        fault->kind + ")";
-        out.failure = std::move(report);
-        return out;
-    }
-    try {
-        hecnn::RunControl control;
-        control.deadline = deadline;
-        auto result = executor_.execute(
-            session_.encryptInput(input, index), control);
-        out.budget = std::move(result.budget);
-        out.backendName = std::move(result.backendName);
-        out.opsExecuted = result.executed.total();
-        out.simulated = std::move(result.simulated);
-        if (result.failure) {
-            out.failure = std::move(result.failure);
-            return out;
-        }
-        out.logits = session_.decryptLogits(result.regs);
-    } catch (const ConfigError &e) {
-        // Request-level isolation: a malformed request (wrong tensor
-        // shape, corrupt state) fails alone instead of taking down the
-        // engine and its neighbors.
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "exception";
-        report.reason = e.what();
-        out.failure = std::move(report);
-        out.logits.clear();
-    } catch (const InternalError &e) {
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "exception";
-        report.reason = e.what();
-        out.failure = std::move(report);
-        out.logits.clear();
-    }
-    return out;
-}
-
-hecnn::InferOutcome
-InferenceEngine::runRequestWithRetry(
-    const nn::Tensor &input, std::uint64_t index,
-    const std::optional<Clock::time_point> &deadline)
-{
-    std::uint32_t attempt = 0;
-    for (;;) {
-        // Every attempt reuses (keySeed, index): the noise stream is a
-        // pure function of the pair, so a successful retry is bitwise
-        // identical to a first-try success and to the serial
-        // reference — retries are invisible in the logits.
-        hecnn::InferOutcome out = runRequest(input, index, deadline);
-        if (!out.degraded()) {
-            breaker_.onSuccess();
-            return out;
-        }
-        const bool retryable =
-            transientFailure(*out.failure) &&
-            attempt < options_.retry.maxRetries;
-        if (!retryable) {
-            breaker_.onFailure();
-            return out;
-        }
-        ++attempt;
-        const double backoff =
-            retryBackoffSeconds(options_.retry, attempt);
-        if (deadline &&
-            Clock::now() + secondsToDuration(backoff) > *deadline) {
-            // No budget left for another attempt: hand back the
-            // transient failure rather than blowing the deadline.
-            breaker_.onFailure();
-            return out;
-        }
-        {
-            std::scoped_lock lock(statsMutex_);
-            stats_.retries += 1;
-        }
-        FXHENN_TELEM_COUNT("engine.retries", 1);
-        if (backoff > 0.0)
-            std::this_thread::sleep_for(secondsToDuration(backoff));
-    }
-}
-
 InferenceEngine::GroupResult
 InferenceEngine::runGroup(
     const std::vector<const nn::Tensor *> &inputs,
@@ -214,13 +117,20 @@ InferenceEngine::runGroup(
         liveIndices.push_back(indices[b]);
         liveSlots.push_back(b);
     }
-    if (liveIndices.empty())
+    if (liveIndices.empty()) {
+        // Nothing left to run: a permanent failure of the whole run,
+        // which the breaker counts like any other.
+        group.sharedFailure = true;
         return group;
+    }
 
+    // A run-level failure names the unit that failed: the request
+    // itself at B = 1, the shared batch at B > 1.
+    const char *runLayer = lanes_ > 1 ? "batch" : "request";
     const auto fail = [&](const std::string &reason, const char *op) {
         for (const std::size_t b : liveSlots) {
             robustness::FailureReport report;
-            report.layer = "batch";
+            report.layer = runLayer;
             report.op = op;
             report.reason = reason;
             group.outcomes[b].failure = std::move(report);
@@ -284,9 +194,10 @@ InferenceEngine::runGroupWithRetry(
 {
     std::uint32_t attempt = 0;
     for (;;) {
-        // The batched encryption stream is a pure function of
-        // (keySeed, member composition), so a successful whole-group
-        // retry is bitwise identical to a first-try success.
+        // The encryption stream is a pure function of (keySeed,
+        // member composition), so a successful retry is bitwise
+        // identical to a first-try success: retries are invisible in
+        // the logits.
         GroupResult group = runGroup(inputs, indices, deadline);
         if (!group.sharedFailure) {
             breaker_.onSuccess();
@@ -320,6 +231,9 @@ void
 InferenceEngine::recordBatch(std::size_t liveMembers,
                              double windowWaitSeconds)
 {
+    // A group of one is unbatched serving, not a batch.
+    if (lanes_ == 1)
+        return;
     if (telemetry::enabled()) {
         telemetry::histogram("engine.batch.size")
             .record(static_cast<std::uint64_t>(liveMembers));
@@ -428,87 +342,51 @@ InferenceEngine::runBatch(const std::vector<nn::Tensor> &inputs,
     const auto deadline = resolveDeadline(req, Clock::now());
     std::vector<hecnn::InferOutcome> outcomes(inputs.size());
     Timer wall;
-    if (lanes_ <= 1) {
-        parallelForWorkers(
-            options_.workers, inputs.size(), [&](std::size_t i) {
-                const auto start = Clock::now();
-                if (!breaker_.admitAt(start)) {
-                    outcomes[i] = rejectOutcome(
-                        "breaker",
-                        "circuit breaker open: request shed before "
-                        "execution");
-                    recordRejected(outcomes[i]);
-                    return;
-                }
-                if (deadline && start > *deadline) {
-                    outcomes[i] = rejectOutcome(
-                        "deadline",
-                        "request deadline expired before execution "
-                        "started (never executed)");
-                    recordRejected(outcomes[i]);
-                    return;
-                }
-                Timer latency;
-                outcomes[i] =
-                    runRequestWithRetry(inputs[i], base + i, deadline);
-                recordExecuted(outcomes[i], 0.0,
-                               latency.elapsedSeconds());
-            });
-    } else {
-        // Batched plan: consecutive B-groups so the member composition
-        // (and with it the batched encryption stream) is deterministic
-        // regardless of which worker runs which group.
-        const std::size_t groups =
-            (inputs.size() + lanes_ - 1) / lanes_;
-        parallelForWorkers(
-            options_.workers, groups, [&](std::size_t g) {
-                const std::size_t lo = g * lanes_;
-                const std::size_t hi =
-                    std::min(inputs.size(), lo + lanes_);
-                std::vector<const nn::Tensor *> members;
-                std::vector<std::uint64_t> indices;
-                std::vector<std::size_t> positions;
-                // Shed-before-formation: breaker and deadline verdicts
-                // are per member, so a dead request never occupies a
-                // lane.
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const auto start = Clock::now();
-                    if (!breaker_.admitAt(start)) {
-                        outcomes[i] = rejectOutcome(
-                            "breaker",
-                            "circuit breaker open: request shed "
-                            "before execution");
-                        recordRejected(outcomes[i]);
-                        continue;
-                    }
-                    if (deadline && start > *deadline) {
-                        outcomes[i] = rejectOutcome(
-                            "deadline",
-                            "request deadline expired before "
-                            "execution started (never executed)");
-                        recordRejected(outcomes[i]);
-                        continue;
-                    }
-                    members.push_back(&inputs[i]);
-                    indices.push_back(base + i);
-                    positions.push_back(i);
-                }
-                if (members.empty())
-                    return;
-                Timer latency;
-                auto groupOutcomes =
-                    runGroupWithRetry(members, indices, deadline);
-                const double serviceSeconds =
-                    latency.elapsedSeconds();
-                recordBatch(members.size(), 0.0);
-                for (std::size_t j = 0; j < positions.size(); ++j) {
-                    outcomes[positions[j]] =
-                        std::move(groupOutcomes[j]);
-                    recordExecuted(outcomes[positions[j]], 0.0,
-                                   serviceSeconds);
-                }
-            });
-    }
+    // Consecutive B-groups (one request each at B = 1), so the member
+    // composition, and with it the encryption stream, is deterministic
+    // regardless of which worker runs which group.
+    const std::size_t groups = (inputs.size() + lanes_ - 1) / lanes_;
+    parallelForWorkers(options_.workers, groups, [&](std::size_t g) {
+        const std::size_t lo = g * lanes_;
+        const std::size_t hi = std::min(inputs.size(), lo + lanes_);
+        std::vector<const nn::Tensor *> members;
+        std::vector<std::uint64_t> indices;
+        std::vector<std::size_t> positions;
+        // Shed-before-formation: breaker and deadline verdicts are per
+        // member, so a dead request never occupies a lane.
+        for (std::size_t i = lo; i < hi; ++i) {
+            const auto start = Clock::now();
+            if (!breaker_.admitAt(start)) {
+                outcomes[i] = rejectOutcome(
+                    "breaker",
+                    "circuit breaker open: request shed before "
+                    "execution");
+                recordRejected(outcomes[i]);
+                continue;
+            }
+            if (deadline && start > *deadline) {
+                outcomes[i] = rejectOutcome(
+                    "deadline",
+                    "request deadline expired before execution "
+                    "started (never executed)");
+                recordRejected(outcomes[i]);
+                continue;
+            }
+            members.push_back(&inputs[i]);
+            indices.push_back(base + i);
+            positions.push_back(i);
+        }
+        if (members.empty())
+            return;
+        Timer latency;
+        auto groupOutcomes = runGroupWithRetry(members, indices, deadline);
+        const double serviceSeconds = latency.elapsedSeconds();
+        recordBatch(members.size(), 0.0);
+        for (std::size_t j = 0; j < positions.size(); ++j) {
+            outcomes[positions[j]] = std::move(groupOutcomes[j]);
+            recordExecuted(outcomes[positions[j]], 0.0, serviceSeconds);
+        }
+    });
     const double seconds = wall.elapsedSeconds();
     {
         std::scoped_lock lock(statsMutex_);
@@ -653,40 +531,15 @@ InferenceEngine::workerLoop()
     Job job;
     while (queue_.pop(job)) {
         // Injected queue delay (a stalled upstream, a slow scheduler
-        // tick): the deadline check below runs after it, so the fault
-        // deterministically expires short-deadline requests.
+        // tick): workerRunWindow's deadline check runs after it, so the
+        // fault deterministically expires short-deadline requests.
         if (auto fault = robustness::fireFault("engine.queue")) {
             const std::uint64_t ms =
                 20 * std::max<std::uint64_t>(1, fault->seed);
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(ms));
         }
-        if (lanes_ > 1) {
-            workerRunWindow(std::move(job));
-            continue;
-        }
-        const auto picked = Clock::now();
-        const double queueWait =
-            std::chrono::duration<double>(picked - job.enqueued)
-                .count();
-        if (job.deadline && picked > *job.deadline) {
-            // Expired in queue: shed with a structured report, never
-            // executed — burning a worker on it would only push the
-            // requests behind it past their deadlines too.
-            auto out = rejectOutcome(
-                "deadline",
-                "request deadline expired after " +
-                    std::to_string(queueWait) +
-                    " s in queue (never executed)");
-            recordRejected(out);
-            job.promise.set_value(std::move(out));
-            continue;
-        }
-        Timer service;
-        hecnn::InferOutcome outcome =
-            runRequestWithRetry(job.input, job.index, job.deadline);
-        recordExecuted(outcome, queueWait, service.elapsedSeconds());
-        job.promise.set_value(std::move(outcome));
+        workerRunWindow(std::move(job));
     }
     markPoolWorker(false);
 }

@@ -30,34 +30,33 @@
  *    "engine.batch.size", "engine.batch.slot_fill_frac",
  *    "engine.batch.window_wait.ns").
  *
- * Cross-request slot batching: when the plan was compiled with
- * batchLanes = B > 1, the engine packs up to B requests into one
- * shared ciphertext run. runBatch() partitions its inputs into
- * consecutive B-groups; the streaming path opens an accumulation
- * window when a worker pops a request and collects up to B-1 more
- * from the queue, flushing on B-full or on a deadline-margin timeout
- * (min(batchWindowSeconds, head deadline minus the EWMA service
- * estimate)). Expired members are shed BEFORE batch formation; a
- * member that fails input validation degrades alone with its lane
- * zeroed; a whole-group failure is reported honestly to every member
- * (never garbage logits). Demuxed results are pure slot extraction in
- * ClientSession::decryptLogitsBatch, so sibling outcomes stay
- * isolated.
+ * Every request runs as a member of a group of up to B = batchLanes
+ * requests sharing one ciphertext run; an unbatched plan (B = 1)
+ * serves each request as a group of one. runBatch() partitions its
+ * inputs into consecutive B-groups; at B > 1 the streaming path opens
+ * an accumulation window when a worker pops a request and collects up
+ * to B-1 more from the queue, flushing on B-full or on a
+ * deadline-margin timeout (min(batchWindowSeconds, head deadline
+ * minus the EWMA service estimate)). Expired members are shed BEFORE
+ * group formation; a member that fails input validation degrades
+ * alone with its lane zeroed; a whole-group failure is reported
+ * honestly to every member (never garbage logits). Demuxed results are
+ * pure slot extraction in ClientSession::decryptLogitsBatch, so
+ * sibling outcomes stay isolated.
  *
- * Determinism: request r (in submission order) encrypts with a noise
- * stream derived from (keySeed, r), so a batch produces bitwise
- * identical logits whether it runs on 1 worker or 8 — and identical to
- * r+1 serial Runtime::infer() calls with the same key seed. Admission
- * decisions never shift indices: a shed request still consumed its
- * index, so the survivors stay aligned with the serial reference.
- * Batched (B > 1) runs use the encryption stream derived from
- * (keySeed, fold of the live member indices): outputs are a pure
- * function of the ordered member composition and its inputs, bitwise
- * reproducible across repeats, worker counts and arithmetic-preserving
- * backends. They are numerically — not bitwise — equal to the B
- * serial runs (see docs/ARCHITECTURE.md section 15 for why bitwise
- * cross-equality is impossible under CKKS canonical-embedding
- * rounding).
+ * Determinism: request r (in submission order) is numbered r, and a
+ * group encrypts with the noise stream derived from (keySeed, fold of
+ * its live member indices). At B = 1 that fold is r itself, so the
+ * engine's logits are bitwise those of ClientSession::encryptInput(x,
+ * r) run through a PlanExecutor with the same key seed, on 1 worker or
+ * 8. Admission decisions never shift indices: a shed request still
+ * consumed its index, so the survivors stay aligned with that serial
+ * reference. Batched (B > 1) outputs are a pure function of the
+ * ordered member composition and its inputs, bitwise reproducible
+ * across repeats, worker counts and arithmetic-preserving backends.
+ * They are numerically — not bitwise — equal to the B serial runs (see
+ * docs/ARCHITECTURE.md section 15 for why bitwise cross-equality is
+ * impossible under CKKS canonical-embedding rounding).
  */
 #ifndef FXHENN_ENGINE_INFERENCE_ENGINE_HPP
 #define FXHENN_ENGINE_INFERENCE_ENGINE_HPP
@@ -76,7 +75,6 @@
 #include "src/hecnn/client_session.hpp"
 #include "src/hecnn/plan_executor.hpp"
 #include "src/hecnn/plaintext_pool.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/tensor.hpp"
 
 namespace fxhenn::engine {
@@ -249,17 +247,7 @@ class InferenceEngine
     resolveDeadline(const RequestOptions &req, Clock::time_point now)
         const;
 
-    /** encrypt -> execute -> decrypt, with request-level isolation. */
-    hecnn::InferOutcome runRequest(
-        const nn::Tensor &input, std::uint64_t index,
-        const std::optional<Clock::time_point> &deadline);
-
-    /** runRequest() plus the transient-retry loop and breaker hooks. */
-    hecnn::InferOutcome runRequestWithRetry(
-        const nn::Tensor &input, std::uint64_t index,
-        const std::optional<Clock::time_point> &deadline);
-
-    /** Result of one batched (shared-ciphertext) group execution. */
+    /** Result of one group execution (B = 1: a single request). */
     struct GroupResult
     {
         /** Per-member outcomes, aligned with the member arguments. */
@@ -271,23 +259,29 @@ class InferenceEngine
     };
 
     /**
-     * One batched run over up to batchLanes members: pre-validate each
-     * input (a malformed member degrades alone, its lane zeroed),
-     * encrypt the survivors into shared ciphertexts under the
-     * batchRequestKey of their indices, execute once and demux.
+     * encrypt -> execute -> decrypt for up to batchLanes members, with
+     * request-level isolation: pre-validate each input (a malformed
+     * member degrades alone, its lane zeroed), encrypt the survivors
+     * into shared ciphertexts under the batchRequestKey of their
+     * indices, execute once and demux. Every request runs here; at
+     * B = 1 the group is the request itself.
      */
     GroupResult runGroup(
         const std::vector<const nn::Tensor *> &inputs,
         const std::vector<std::uint64_t> &indices,
         const std::optional<Clock::time_point> &deadline);
 
-    /** runGroup() plus whole-group transient retry + breaker hooks. */
+    /**
+     * runGroup() plus whole-group transient retry + breaker hooks. A
+     * group with no live member counts as a permanent failure.
+     */
     std::vector<hecnn::InferOutcome> runGroupWithRetry(
         const std::vector<const nn::Tensor *> &inputs,
         const std::vector<std::uint64_t> &indices,
         const std::optional<Clock::time_point> &deadline);
 
-    /** Batch telemetry + occupancy stats for one executed group. */
+    /** Batch telemetry + occupancy stats for one executed group
+     *  (B > 1 only: a group of one is not a batch). */
     void recordBatch(std::size_t liveMembers,
                      double windowWaitSeconds);
 
@@ -300,7 +294,8 @@ class InferenceEngine
     void recordRejected(const hecnn::InferOutcome &outcome);
     void startWorkers();
     void workerLoop();
-    /** Streaming batched path: @p head opens an accumulation window. */
+    /** Streaming path: @p head opens an accumulation window (no wait
+     *  at B = 1) and the window runs as one group. */
     void workerRunWindow(Job head);
 
     EngineOptions options_;
@@ -309,7 +304,7 @@ class InferenceEngine
     hecnn::PlanExecutor executor_;
     ServiceTimeEstimator estimator_;
     CircuitBreaker breaker_;
-    /** Batch lanes B of the plan (1 = classic per-request serving). */
+    /** Batch lanes B of the plan (1 = per-request serving). */
     std::size_t lanes_ = 1;
 
     mutable std::mutex statsMutex_;

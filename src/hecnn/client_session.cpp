@@ -37,6 +37,9 @@ ClientSession::ClientSession(const HeNetworkPlan &plan,
     FXHENN_FATAL_IF(plan.valuesElided,
                     "plan was compiled with elideValues=true and "
                     "cannot be executed");
+    FXHENN_FATAL_IF(plan.batchLanes == 0,
+                    "plan has batchLanes = 0 (use 1 for an unbatched "
+                    "plan)");
     for (std::int32_t step : plan.rotationSteps())
         keygen_.addGaloisKey(galois_, step);
     for (const auto &gather : plan.inputGather) {
@@ -64,37 +67,12 @@ ClientSession::batchRequestKey(
 {
     FXHENN_FATAL_IF(memberIndices.empty(),
                     "batchRequestKey: empty member list");
-    // A one-member fold is the member index itself, so a B=1 batch
-    // draws exactly the noise stream encryptInput(input, r) draws.
+    // A one-member fold is the member index itself: a batch of one
+    // draws request r's stream.
     std::uint64_t key = memberIndices[0];
     for (std::size_t i = 1; i < memberIndices.size(); ++i)
         key = mixRequestSeed(key, memberIndices[i]);
     return key;
-}
-
-std::vector<ckks::Ciphertext>
-ClientSession::encryptInput(const nn::Tensor &input,
-                            std::uint64_t requestIndex) const
-{
-    validateInput(input);
-    FXHENN_TELEM_SCOPED_TIMER("hecnn.client.encrypt.ns");
-    Rng rng(mixRequestSeed(seed_, requestIndex));
-    const std::size_t slots = context_.slots();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(plan_.inputGather.size());
-    for (const auto &gather : plan_.inputGather) {
-        std::vector<double> v(slots, 0.0);
-        for (std::size_t s = 0; s < slots; ++s) {
-            if (gather[s] >= 0)
-                v[s] = input.data()[static_cast<std::size_t>(gather[s])];
-        }
-        const auto plain =
-            encoder_.encode(std::span<const double>(v),
-                            context_.params().scale,
-                            context_.maxLevel());
-        cts.push_back(encryptor_.encrypt(plain, rng));
-    }
-    return cts;
 }
 
 std::vector<ckks::Ciphertext>
@@ -169,27 +147,20 @@ ClientSession::decryptLogitsBatch(
     return logits;
 }
 
+std::vector<ckks::Ciphertext>
+ClientSession::encryptInput(const nn::Tensor &input,
+                            std::uint64_t requestIndex) const
+{
+    std::vector<const nn::Tensor *> lanes(plan_.batchLanes, nullptr);
+    lanes[0] = &input;
+    return encryptInputBatch(lanes, requestIndex);
+}
+
 std::vector<double>
 ClientSession::decryptLogits(
     std::span<const std::optional<ckks::Ciphertext>> regs) const
 {
-    FXHENN_TELEM_SCOPED_TIMER("hecnn.client.decrypt.ns");
-    std::map<std::int32_t, std::vector<double>> decoded;
-    std::vector<double> logits(plan_.outputLayout.elements(), 0.0);
-    for (std::size_t e = 0; e < logits.size(); ++e) {
-        const auto [reg_id, slot] = plan_.outputLayout.pos[e];
-        auto it = decoded.find(reg_id);
-        if (it == decoded.end()) {
-            const auto &ct = regs[static_cast<std::size_t>(reg_id)];
-            FXHENN_ASSERT(ct.has_value(), "output register unwritten");
-            it = decoded
-                     .emplace(reg_id, encoder_.decodeReal(
-                                          decryptor_.decrypt(*ct)))
-                     .first;
-        }
-        logits[e] = it->second[static_cast<std::size_t>(slot)];
-    }
-    return logits;
+    return std::move(decryptLogitsBatch(regs)[0]);
 }
 
 double

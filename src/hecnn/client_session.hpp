@@ -39,7 +39,8 @@ class ClientSession
     /**
      * Generate all key material for @p plan (public, relinearization,
      * and the Galois keys for every rotation step the plan uses) from
-     * @p seed. Throws ConfigError for a values-elided plan.
+     * @p seed. Throws ConfigError for a values-elided plan or one
+     * with no batch lane.
      */
     ClientSession(const HeNetworkPlan &plan,
                   const ckks::CkksContext &context,
@@ -71,9 +72,8 @@ class ClientSession
      * @p memberIndices (per-request indices, in lane order): a
      * splitmix64 fold, so any distinct member composition draws an
      * independent noise stream and the same composition reproduces
-     * bitwise. A single-member fold of {r} equals the stream
-     * encryptInput(input, r) uses, keeping B = 1 batches bit-identical
-     * to the unbatched path.
+     * bitwise. A single-member fold of {r} is r itself, so a batch
+     * of one draws request r's stream.
      */
     static std::uint64_t batchRequestKey(
         std::span<const std::uint64_t> memberIndices);
@@ -103,20 +103,15 @@ class ClientSession
         std::span<const std::optional<ckks::Ciphertext>> regs) const;
 
     /**
-     * Pack @p input per the plan's gather spec, encode and encrypt it
-     * into the plan's input registers. @p requestIndex selects the
-     * deterministic per-request noise stream; distinct indices give
-     * statistically independent encryption randomness. Throws
-     * ConfigError when the tensor's element count does not match the
-     * plan's input.
+     * One request as a batch of one: encryptInputBatch() with
+     * @p input in lane 0, every other lane zeroed, and @p requestIndex
+     * as the request key (batchRequestKey({r}) == r). Distinct indices
+     * give statistically independent encryption randomness.
      */
     std::vector<ckks::Ciphertext> encryptInput(
         const nn::Tensor &input, std::uint64_t requestIndex = 0) const;
 
-    /**
-     * Decrypt the output registers (each at most once) and extract the
-     * logits per the plan's output layout.
-     */
+    /** Lane 0 of decryptLogitsBatch(): the logits of a batch of one. */
     std::vector<double> decryptLogits(
         std::span<const std::optional<ckks::Ciphertext>> regs) const;
 

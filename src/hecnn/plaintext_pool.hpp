@@ -6,9 +6,7 @@
  * the fixed scheme scale Delta and a fixed level, so its encoding is
  * identical for every request. The pool encodes each such plaintext
  * exactly once at build time and is then shared read-only by all
- * concurrent PlanExecutors — replacing the per-Runtime lazy
- * std::map cache, which both re-encoded per Runtime object and could
- * not be shared across threads.
+ * concurrent PlanExecutors.
  *
  * pcAdd (bias) plaintexts encode at the *current ciphertext scale*,
  * which depends on run state, so they are intentionally not pooled.

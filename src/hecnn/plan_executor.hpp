@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -123,6 +124,38 @@ struct ExecutionResult
     std::vector<robustness::BudgetSample> budget;
 
     bool degraded() const { return failure.has_value(); }
+};
+
+/**
+ * What a client receives for one guarded encrypted inference. Either
+ * `logits` holds the decrypted result, or `failure` explains why the
+ * run was aborted (GuardPolicy::degrade) — never garbage logits.
+ */
+struct InferOutcome
+{
+    std::vector<double> logits;
+    std::optional<robustness::FailureReport> failure;
+    /** Predicted per-layer noise-budget trajectory. */
+    std::vector<robustness::BudgetSample> budget;
+    /** Registry name of the execution backend that ran the request. */
+    std::string backendName;
+    /** HE ops the backend dispatched for this request. */
+    std::uint64_t opsExecuted = 0;
+    /** Per-layer simulated-latency timeline (empty unless the backend
+     * simulates hardware, e.g. "fpga-sim"). */
+    std::vector<SimLayerLatency> simulated;
+
+    bool degraded() const { return failure.has_value(); }
+
+    /** Total simulated seconds across the timeline (0 when empty). */
+    double
+    simulatedSeconds() const
+    {
+        double total = 0.0;
+        for (const auto &row : simulated)
+            total += row.simulatedSeconds;
+        return total;
+    }
 };
 
 /** Stateless-per-request interpreter of one compiled HE-CNN plan. */

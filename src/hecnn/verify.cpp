@@ -6,7 +6,8 @@
 #include "src/ckks/context.hpp"
 #include "src/common/table_printer.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
+#include "src/hecnn/client_session.hpp"
+#include "src/hecnn/plan_executor.hpp"
 #include "src/nn/model_zoo.hpp"
 
 namespace fxhenn::hecnn {
@@ -97,30 +98,34 @@ verifyAgainstPlaintext(const nn::Network &net,
     ckks::CkksContext ctx(params);
     ExecOptions exec;
     exec.backend = options.backend;
-    Runtime runtime(plan, ctx, options.keySeed, options.guard, exec);
+    const ClientSession session(plan, ctx, options.keySeed);
+    const PlaintextPool pool(plan, ctx);
+    const PlanExecutor executor(plan, ctx, session.relinKey(),
+                                session.galoisKeys(), pool,
+                                options.guard, exec);
 
     const nn::Tensor input = nn::syntheticInput(net, options.inputSeed);
     const nn::Tensor expected = net.forward(input);
 
     VerifyResult result;
-    auto outcome = runtime.inferGuarded(input);
-    result.backendName = outcome.backendName;
-    result.simulatedLatency = std::move(outcome.simulated);
-    result.noiseBudget = std::move(outcome.budget);
+    auto run = executor.execute(session.encryptInput(input, 0));
+    result.backendName = std::move(run.backendName);
+    result.simulatedLatency = std::move(run.simulated);
+    result.noiseBudget = std::move(run.budget);
     if (!result.noiseBudget.empty())
         result.predictedHeadroomBits =
             result.noiseBudget.back().headroomBits;
-    result.hopsExecuted = runtime.executedCounts().total();
-    result.layers = runtime.lastLayerStats();
-    if (outcome.failure) {
-        result.failure = std::move(outcome.failure);
+    result.hopsExecuted = run.executed.total();
+    result.layers = std::move(run.layerStats);
+    if (run.failure) {
+        result.failure = std::move(run.failure);
         return result;
     }
 
-    result.encryptedLogits = std::move(outcome.logits);
+    result.encryptedLogits = session.decryptLogits(run.regs);
     result.plaintextLogits.assign(expected.data().begin(),
                                   expected.data().end());
-    result.measuredHeadroomBits = runtime.outputHeadroomBits();
+    result.measuredHeadroomBits = session.outputHeadroomBits(run.regs);
 
     std::size_t argmax_he = 0, argmax_pt = 0;
     for (std::size_t i = 0; i < result.encryptedLogits.size(); ++i) {

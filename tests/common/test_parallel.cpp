@@ -9,8 +9,8 @@
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn {
 namespace {
@@ -107,8 +107,9 @@ TEST(Parallel, EncryptedInferenceIsThreadCountInvariant)
         ct = evaluator.rotate(ct, 3, galois);
         lastCt = ct;
         // And the full runtime path, checked at the logit level.
-        hecnn::Runtime runtime(plan, ctx, /*seed=*/9);
-        return runtime.infer(input);
+        const test_support::SerialInference serial(plan, ctx,
+                                                   /*seed=*/9);
+        return serial.infer(input);
     };
 
     const unsigned original = threadCount();

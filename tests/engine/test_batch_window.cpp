@@ -13,7 +13,6 @@
 
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
 
 namespace fxhenn::engine {

@@ -16,8 +16,8 @@
 
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::engine {
 namespace {
@@ -97,12 +97,13 @@ TEST_F(BatchedInferenceTest, BatchedMatchesSerialWithinTolerance)
         const auto outcomes = engine.runBatch(batch);
         ASSERT_EQ(outcomes.size(), lanes);
 
-        hecnn::Runtime serial(serialPlan_, ctx_, kSeed);
+        const test_support::SerialInference serial(serialPlan_, ctx_,
+                                                   kSeed);
         for (std::size_t r = 0; r < lanes; ++r) {
             ASSERT_FALSE(outcomes[r].degraded())
                 << "lanes " << lanes << " request " << r;
             expectEquivalent(outcomes[r].logits,
-                             serial.infer(batch[r]),
+                             serial.infer(batch[r], r),
                              "lanes " + std::to_string(lanes) +
                                  " request " + std::to_string(r));
         }
@@ -202,10 +203,10 @@ TEST_F(BatchedInferenceTest, PartialFinalGroupStillServesCorrectly)
     InferenceEngine engine(plan, ctx_, opts);
     const auto outcomes = engine.runBatch(batch);
 
-    hecnn::Runtime serial(serialPlan_, ctx_, kSeed);
+    const test_support::SerialInference serial(serialPlan_, ctx_, kSeed);
     for (std::size_t r = 0; r < batch.size(); ++r) {
         ASSERT_FALSE(outcomes[r].degraded()) << "request " << r;
-        expectEquivalent(outcomes[r].logits, serial.infer(batch[r]),
+        expectEquivalent(outcomes[r].logits, serial.infer(batch[r], r),
                          "request " + std::to_string(r));
     }
     const auto stats = engine.stats();
@@ -234,12 +235,37 @@ TEST_F(BatchedInferenceTest, InvalidMemberDoesNotCorruptSiblings)
     EXPECT_EQ(outcomes[1].failure->layer, "request");
     EXPECT_TRUE(outcomes[1].logits.empty());
 
-    hecnn::Runtime serial(serialPlan_, ctx_, kSeed);
+    const test_support::SerialInference serial(serialPlan_, ctx_, kSeed);
     for (const std::size_t r : {0u, 2u, 3u}) {
         ASSERT_FALSE(outcomes[r].degraded()) << "request " << r;
-        expectEquivalent(outcomes[r].logits, serial.infer(batch[r]),
+        expectEquivalent(outcomes[r].logits, serial.infer(batch[r], r),
                          "request " + std::to_string(r));
     }
+}
+
+TEST_F(BatchedInferenceTest, AllMalformedGroupCountsAsBreakerFailure)
+{
+    // A group none of whose members survives validation ran nothing:
+    // the breaker must count it as a failure, exactly as it counts one
+    // malformed request at B = 1.
+    const auto plan = batchedPlan(2);
+    EngineOptions opts;
+    opts.workers = 1;
+    opts.breaker.tripAfterConsecutiveFailures = 1;
+    opts.breaker.openSeconds = 60.0; // stays open for the whole test
+    InferenceEngine engine(plan, ctx_, opts);
+
+    const std::vector<nn::Tensor> bad(2, nn::Tensor({3, 1, 1}));
+    const auto outcomes = engine.runBatch(bad);
+    ASSERT_EQ(outcomes.size(), 2u);
+    for (const auto &outcome : outcomes) {
+        ASSERT_TRUE(outcome.degraded());
+        EXPECT_EQ(outcome.failure->layer, "request");
+        EXPECT_EQ(outcome.failure->op, "exception");
+    }
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.breakerState, BreakerState::open);
+    EXPECT_EQ(stats.breakerOpens, 1u);
 }
 
 TEST_F(BatchedInferenceTest, EnvironmentBackendStaysDeterministic)

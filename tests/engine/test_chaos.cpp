@@ -21,9 +21,9 @@
 
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/robustness/fault_injection.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::engine {
 namespace {
@@ -183,11 +183,11 @@ TEST_F(ChaosTest, RetriedTransientIsBitwiseIdenticalToSerial)
     EXPECT_EQ(stats.retries, 1u)
         << "the injected transient must have cost exactly one retry";
 
-    hecnn::Runtime serial(plan_, ctx_, kSeed);
+    const test_support::SerialInference serial(plan_, ctx_, kSeed);
     for (std::size_t r = 0; r < kRequests; ++r) {
         ASSERT_FALSE(outcomes[r].degraded())
             << "request " << r << " must have recovered via retry";
-        EXPECT_EQ(outcomes[r].logits, serial.infer(batch[r]))
+        EXPECT_EQ(outcomes[r].logits, serial.infer(batch[r], r))
             << "request " << r
             << ": a successful retry must be bitwise invisible";
     }

@@ -7,8 +7,8 @@
 
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::engine {
 namespace {
@@ -55,10 +55,10 @@ TEST_F(InferenceEngineTest, BatchMatchesSerialRuntimeBitwise)
 
     // Same key seed, same request order: N serial infer() calls must
     // produce bitwise the same logits as the concurrent batch.
-    hecnn::Runtime serial(plan_, ctx_, kSeed);
+    const test_support::SerialInference serial(plan_, ctx_, kSeed);
     for (std::size_t r = 0; r < kRequests; ++r) {
         ASSERT_FALSE(outcomes[r].degraded());
-        const auto expect = serial.infer(batch[r]);
+        const auto expect = serial.infer(batch[r], r);
         ASSERT_EQ(outcomes[r].logits.size(), expect.size());
         for (std::size_t i = 0; i < expect.size(); ++i)
             EXPECT_EQ(outcomes[r].logits[i], expect[i])
@@ -284,7 +284,7 @@ TEST_F(InferenceEngineTest, ShedRequestDoesNotShiftSurvivorIndices)
     // Request 0 runs, request 1 is shed at admission (hopeless
     // deadline), request 2 runs. The shed request must still consume
     // noise-stream index 1, so request 2 stays bitwise aligned with
-    // the third serial infer().
+    // serial request 2.
     RequestOptions hopeless;
     hopeless.deadlineSeconds = 1e-9;
     auto f0 = engine.submit(batch[0]);
@@ -297,10 +297,9 @@ TEST_F(InferenceEngineTest, ShedRequestDoesNotShiftSurvivorIndices)
     ASSERT_TRUE(o1.degraded());
     ASSERT_FALSE(o2.degraded());
 
-    hecnn::Runtime serial(plan_, ctx_, kSeed);
-    EXPECT_EQ(o0.logits, serial.infer(batch[0]));
-    serial.infer(batch[1]); // the shed request's consumed index
-    EXPECT_EQ(o2.logits, serial.infer(batch[2]));
+    const test_support::SerialInference serial(plan_, ctx_, kSeed);
+    EXPECT_EQ(o0.logits, serial.infer(batch[0], 0));
+    EXPECT_EQ(o2.logits, serial.infer(batch[2], 2));
 }
 
 TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailures)

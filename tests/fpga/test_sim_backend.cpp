@@ -12,13 +12,14 @@
 
 #include "src/common/assert.hpp"
 #include "src/dse/sim_backend_install.hpp"
+#include "src/engine/inference_engine.hpp"
 #include "src/fpga/device.hpp"
 #include "src/fpga/sim_backend.hpp"
 #include "src/hecnn/backend.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/hecnn/verify.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::fpga {
 namespace {
@@ -61,9 +62,12 @@ TEST_F(SimBackend, FixedDesignTimelineCoversEveryLayer)
 
     hecnn::ExecOptions exec;
     exec.backend = name;
-    hecnn::Runtime runtime(plan, ctx, 1, {}, exec);
+    engine::EngineOptions opts;
+    opts.workers = 1;
+    opts.exec = exec;
+    engine::InferenceEngine server(plan, ctx, opts);
     const auto outcome =
-        runtime.inferGuarded(nn::syntheticInput(net, 1));
+        server.runBatch({nn::syntheticInput(net, 1)}).front();
     ASSERT_FALSE(outcome.failure.has_value());
 
     ASSERT_EQ(outcome.simulated.size(), plan.layers.size());
@@ -94,13 +98,13 @@ TEST_F(SimBackend, SimulatedRunIsBitwiseIdenticalToCpu)
 
     hecnn::ExecOptions cpu;
     cpu.backend = "cpu";
-    hecnn::Runtime cpuRuntime(plan, ctx, 9, {}, cpu);
-    const auto reference = cpuRuntime.infer(input);
+    const test_support::SerialInference cpuRun(plan, ctx, 9, {}, cpu);
+    const auto reference = cpuRun.infer(input);
 
     hecnn::ExecOptions sim;
     sim.backend = "fpga-sim";
-    hecnn::Runtime simRuntime(plan, ctx, 9, {}, sim);
-    const auto logits = simRuntime.infer(input);
+    const test_support::SerialInference simRun(plan, ctx, 9, {}, sim);
+    const auto logits = simRun.infer(input);
 
     ASSERT_EQ(logits.size(), reference.size());
     for (std::size_t i = 0; i < logits.size(); ++i)
@@ -189,7 +193,8 @@ TEST_F(SimBackend, UnknownBackendNameThrowsConfigError)
     ckks::CkksContext ctx(params);
     hecnn::ExecOptions exec;
     exec.backend = "sim-test-never-registered";
-    EXPECT_THROW(hecnn::Runtime(plan, ctx, 1, {}, exec), ConfigError);
+    EXPECT_THROW(test_support::SerialInference(plan, ctx, 1, {}, exec),
+                 ConfigError);
 }
 
 } // namespace

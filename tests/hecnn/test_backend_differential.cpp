@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "src/dse/sim_backend_install.hpp"
+#include "src/engine/inference_engine.hpp"
 #include "src/hecnn/backend.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/modarith/simd_dispatch.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
@@ -42,8 +43,8 @@ runWithBackend(const HeNetworkPlan &plan, const ckks::CkksContext &ctx,
 {
     ExecOptions exec;
     exec.backend = backend;
-    Runtime runtime(plan, ctx, seed, {}, exec);
-    return runtime.infer(input);
+    const test_support::SerialInference serial(plan, ctx, seed, {}, exec);
+    return serial.infer(input);
 }
 
 class BackendDifferential : public ::testing::Test
@@ -117,8 +118,11 @@ TEST_F(BackendDifferential, OutcomeReportsBackendNameAndOps)
     for (const std::string backend : {"cpu", "cpu-ref", "fpga-sim"}) {
         ExecOptions exec;
         exec.backend = backend;
-        Runtime runtime(plan, ctx, 1, {}, exec);
-        const auto outcome = runtime.inferGuarded(input);
+        engine::EngineOptions opts;
+        opts.workers = 1;
+        opts.exec = exec;
+        engine::InferenceEngine server(plan, ctx, opts);
+        const auto outcome = server.runBatch({input}).front();
         EXPECT_EQ(outcome.backendName, backend);
         EXPECT_EQ(outcome.opsExecuted, plan.totalCounts().total())
             << backend

@@ -3,9 +3,9 @@
 #include "src/common/assert.hpp"
 
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/hecnn/stats.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
@@ -185,10 +185,10 @@ TEST(Compiler, DecomposedPlanStillVerifiesUnderEncryption)
     opts.decomposeRotations = true;
     const auto plan = compile(net, params, opts);
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, 13);
+    const test_support::SerialInference serial(plan, ctx, 13);
     const nn::Tensor input = nn::syntheticInput(net, 2);
     const nn::Tensor expected = net.forward(input);
-    const auto logits = runtime.infer(input);
+    const auto logits = serial.infer(input);
     for (std::size_t i = 0; i < logits.size(); ++i)
         ASSERT_NEAR(logits[i], expected[i], 1e-2) << i;
 }

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -116,6 +118,31 @@ struct DenseShape
     const char *covers;
 };
 
+/** Prints the dimensions, so listed test IDs carry no pointer bytes. */
+void
+PrintTo(const DenseShape &shape, std::ostream *os)
+{
+    *os << shape.in << "x" << shape.hidden << "x" << shape.out;
+}
+
+/** Test-name suffix: the `covers` text as alphanumeric CamelCase. */
+std::string
+shapeName(const ::testing::TestParamInfo<DenseShape> &info)
+{
+    std::string name;
+    bool wordStart = true;
+    for (const char *c = info.param.covers; *c != '\0'; ++c) {
+        const auto ch = static_cast<unsigned char>(*c);
+        if (!std::isalnum(ch)) {
+            wordStart = true;
+            continue;
+        }
+        name += static_cast<char>(wordStart ? std::toupper(ch) : ch);
+        wordStart = false;
+    }
+    return name;
+}
+
 class DiagonalShapeTest : public ::testing::TestWithParam<DenseShape>
 {};
 
@@ -153,7 +180,8 @@ INSTANTIATE_TEST_SUITE_P(
         DenseShape{100, 40, 5, "m>copies (8 blocks)"},
         DenseShape{300, 20, 7, "two blocks, m>copies"},
         DenseShape{200, 6, 2, "one-block layers"},
-        DenseShape{32, 100, 10, "wide hidden layer, many blocks"}));
+        DenseShape{32, 100, 10, "wide hidden layer, many blocks"}),
+    shapeName);
 
 TEST(DiagonalMatVec, ZooNetworksMatchPlaintextAtB1AndB16)
 {

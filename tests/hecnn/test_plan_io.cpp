@@ -7,9 +7,9 @@
 
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/plan_io.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/hecnn/stats.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
@@ -53,8 +53,8 @@ TEST(PlanIo, LoadedPlanExecutesIdentically)
     const auto loaded = loadPlan(ss);
 
     ckks::CkksContext ctx(params);
-    Runtime local(plan, ctx, 7);
-    Runtime shipped(loaded, ctx, 7);
+    const test_support::SerialInference local(plan, ctx, 7);
+    const test_support::SerialInference shipped(loaded, ctx, 7);
 
     const nn::Tensor input = nn::syntheticInput(net, 3);
     const auto a = local.infer(input);

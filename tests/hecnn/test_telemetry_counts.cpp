@@ -12,14 +12,14 @@
 #include <cmath>
 
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/telemetry/telemetry.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
 
-/** Sum the measured per-layer op breakdown of the last inference. */
+/** Sum the measured per-layer op breakdown of one inference. */
 ckks::OpCounts
 sumLayerCounts(const std::vector<MeasuredLayerStats> &rows)
 {
@@ -45,14 +45,15 @@ TEST(TelemetryCounts, TestNetworkTelemetryMatchesStaticPlan)
     const auto params = ckks::testParams(2048, 7, 30);
     const auto plan = compile(net, params);
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, /*seed=*/31);
+    const test_support::SerialInference serial(plan, ctx, /*seed=*/31);
 
     const nn::Tensor input = nn::syntheticInput(net, 32);
     const nn::Tensor expected = net.forward(input);
 
     telemetry::reset();
     telemetry::setEnabled(true);
-    const auto logits = runtime.infer(input);
+    const auto run = serial.run(input);
+    const auto logits = serial.session.decryptLogits(run.regs);
     telemetry::setEnabled(false);
 
     // (a) encrypted output within the noise bound of plaintext.
@@ -94,9 +95,8 @@ TEST(TelemetryCounts, TestNetworkTelemetryMatchesStaticPlan)
                       .count(),
                   1u)
             << "layer " << layer.name;
-    ASSERT_EQ(runtime.lastLayerStats().size(), plan.layers.size());
-    const ckks::OpCounts measured =
-        sumLayerCounts(runtime.lastLayerStats());
+    ASSERT_EQ(run.layerStats.size(), plan.layers.size());
+    const ckks::OpCounts measured = sumLayerCounts(run.layerStats);
     EXPECT_EQ(measured.pcMult, planned.pcMult);
     EXPECT_EQ(measured.ccMult, planned.ccMult);
     EXPECT_EQ(measured.rescale, planned.rescale);
@@ -118,17 +118,18 @@ TEST(TelemetryCounts, TelemetryDisabledRunChangesNoCounters)
     const auto params = ckks::testParams(2048, 7, 30);
     const auto plan = compile(net, params);
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, 33);
+    const test_support::SerialInference serial(plan, ctx, 33);
 
     telemetry::reset();
     telemetry::setEnabled(false);
-    runtime.infer(nn::syntheticInput(net, 34));
+    const auto run = serial.run(nn::syntheticInput(net, 34));
+    serial.session.decryptLogits(run.regs);
 
     EXPECT_EQ(telemetry::counter("ckks.op.pc_mult").value(), 0u);
     EXPECT_EQ(telemetry::counter("hecnn.inferences").value(), 0u);
     EXPECT_EQ(telemetry::histogram("hecnn.infer.ns").count(), 0u);
     // The always-on measured layer stats still work without telemetry.
-    EXPECT_EQ(runtime.lastLayerStats().size(), plan.layers.size());
+    EXPECT_EQ(run.layerStats.size(), plan.layers.size());
 }
 
 TEST(TelemetryCounts, MnistStaticLayerCountsSumToPlanTotal)

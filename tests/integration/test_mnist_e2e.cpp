@@ -11,9 +11,9 @@
 
 #include "src/fxhenn/framework.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/telemetry/telemetry.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn {
 namespace {
@@ -26,7 +26,7 @@ TEST(MnistEndToEnd, EncryptedInferenceMatchesPlaintext)
 
     const auto plan = hecnn::compile(net, params);
     ckks::CkksContext ctx(params);
-    hecnn::Runtime runtime(plan, ctx, 2023);
+    const test_support::SerialInference serial(plan, ctx, 2023);
 
     const nn::Tensor input = nn::syntheticInput(net, 7);
     const nn::Tensor expected = net.forward(input);
@@ -35,7 +35,8 @@ TEST(MnistEndToEnd, EncryptedInferenceMatchesPlaintext)
     // (costly) inference instead of running a second.
     telemetry::reset();
     telemetry::setEnabled(true);
-    const auto logits = runtime.infer(input);
+    const auto result = serial.run(input);
+    const auto logits = serial.session.decryptLogits(result.regs);
     telemetry::setEnabled(false);
 
     ASSERT_EQ(logits.size(), 10u);
@@ -53,7 +54,7 @@ TEST(MnistEndToEnd, EncryptedInferenceMatchesPlaintext)
     EXPECT_EQ(argmax_he, argmax_pt);
 
     // The plan the FPGA model consumed is the plan that actually ran.
-    const auto &run = runtime.executedCounts();
+    const auto &run = result.executed;
     const auto planned = plan.totalCounts();
     EXPECT_EQ(run.pcMult, planned.pcMult);
     EXPECT_EQ(run.rotate, planned.rotate);

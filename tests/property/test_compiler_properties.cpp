@@ -12,8 +12,8 @@
 #include <memory>
 
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/support/serial_inference.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
@@ -70,10 +70,10 @@ TEST_P(RandomNetworkTest, EncryptedMatchesPlaintext)
 
     // Behavioural check.
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, seed);
+    const test_support::SerialInference serial(plan, ctx, seed);
     const nn::Tensor input = nn::syntheticInput(net, seed + 100);
     const nn::Tensor expected = net.forward(input);
-    const auto logits = runtime.infer(input);
+    const auto logits = serial.infer(input);
 
     ASSERT_EQ(logits.size(), expected.size());
     for (std::size_t i = 0; i < logits.size(); ++i)
@@ -105,10 +105,10 @@ TEST(CompilerProperty, DenseFirstNetworkVerifiesUnderEncryption)
     EXPECT_EQ(plan.inputCiphertexts(), 1u);
 
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, 23);
+    const test_support::SerialInference serial(plan, ctx, 23);
     const nn::Tensor input = nn::syntheticInput(net, 8);
     const nn::Tensor expected = net.forward(input);
-    const auto logits = runtime.infer(input);
+    const auto logits = serial.infer(input);
     ASSERT_EQ(logits.size(), 3u);
     for (std::size_t i = 0; i < logits.size(); ++i)
         ASSERT_NEAR(logits[i], expected[i], 1e-2) << i;
@@ -134,11 +134,11 @@ TEST(CompilerProperty, PaddedConvolutionVerifiesUnderEncryption)
     const auto params = ckks::testParams(2048, 7, 30);
     const auto plan = compile(net, params);
     ckks::CkksContext ctx(params);
-    Runtime runtime(plan, ctx, 17);
+    const test_support::SerialInference serial(plan, ctx, 17);
 
     const nn::Tensor input = nn::syntheticInput(net, 3);
     const nn::Tensor expected = net.forward(input);
-    const auto logits = runtime.infer(input);
+    const auto logits = serial.infer(input);
     ASSERT_EQ(logits.size(), 4u);
     for (std::size_t i = 0; i < logits.size(); ++i)
         ASSERT_NEAR(logits[i], expected[i], 1e-2) << i;

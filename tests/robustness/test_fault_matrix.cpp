@@ -82,7 +82,7 @@ runVerifyScenario()
  * engine.queue:delay stalls the worker's queue pop past a short
  * request deadline (the fault seed scales the stall), so the request
  * is shed with a FailureReport instead of executing; for
- * engine.request:transient the probe in runRequest() degrades the
+ * engine.request:transient the probe in runGroup() degrades the
  * attempt directly (retries stay disabled here so the failure
  * surfaces instead of being cleared).
  */

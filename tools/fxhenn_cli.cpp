@@ -19,10 +19,10 @@
  * `verify` runs a fast encrypted-vs-plaintext inference on the
  * test-scale network; `batch` serves N encrypted inferences
  * concurrently through engine::InferenceEngine and (by default)
- * cross-checks the logits bitwise against serial Runtime::infer()
- * calls; `design` runs the full DSE and writes the HLS artifacts;
- * `lint` runs the static plan verifier (src/analysis) and renders
- * every diagnostic.
+ * cross-checks the logits against a serial ClientSession +
+ * PlanExecutor reference; `design` runs the full DSE and writes the
+ * HLS artifacts; `lint` runs the static plan verifier (src/analysis)
+ * and renders every diagnostic.
  *
  * Exit codes:
  *   0  success / verify PASS / lint clean
@@ -65,7 +65,6 @@
 #include "src/hecnn/plan_io.hpp"
 #include "src/hecnn/rescale_rewriter.hpp"
 #include "src/hecnn/plan_printer.hpp"
-#include "src/hecnn/runtime.hpp"
 #include "src/hecnn/stats.hpp"
 #include "src/hecnn/verify.hpp"
 #include "src/modarith/simd_dispatch.hpp"
@@ -217,7 +216,7 @@ usage()
         "         [--queue 2*workers] [--seed 1]\n"
         "         [--guard strict|warn|degrade]\n"
         "         [--check serial|none]          bitwise cross-check\n"
-        "                          against serial Runtime::infer()\n"
+        "                          against serial inference\n"
         "         [--deadline-ms D]              per-request SLO; late\n"
         "                          requests are shed, never executed\n"
         "         [--admission block|shed|degrade]\n"
@@ -620,6 +619,43 @@ cmdVerify(const Args &args)
     return pass ? 0 : 1;
 }
 
+/**
+ * The serial reference of `batch --check serial`: request r of @p plan
+ * through its own ClientSession + PlanExecutor with the engine's key
+ * seed. It is pinned to the "cpu" backend, so a --backend fpga-sim or
+ * cpu-ref serve is compared across backends, not with itself.
+ */
+class SerialReference
+{
+  public:
+    SerialReference(const hecnn::HeNetworkPlan &plan,
+                    const ckks::CkksContext &ctx, std::uint64_t seed,
+                    const robustness::GuardOptions &guard)
+        : session_(plan, ctx, seed), pool_(plan, ctx),
+          executor_(plan, ctx, session_.relinKey(),
+                    session_.galoisKeys(), pool_, guard,
+                    hecnn::ExecOptions{.backend = "cpu"})
+    {}
+
+    /** Decrypted logits of request @p r; throws if the run degrades. */
+    std::vector<double>
+    logits(const nn::Tensor &input, std::uint64_t r) const
+    {
+        const auto run =
+            executor_.execute(session_.encryptInput(input, r));
+        FXHENN_PANIC_IF(run.failure.has_value(),
+                        "serial reference degraded at layer " +
+                            run.failure->layer + ": " +
+                            run.failure->reason);
+        return session_.decryptLogits(run.regs);
+    }
+
+  private:
+    hecnn::ClientSession session_;
+    hecnn::PlaintextPool pool_;
+    hecnn::PlanExecutor executor_;
+};
+
 int
 cmdBatch(const Args &args)
 {
@@ -791,83 +827,61 @@ cmdBatch(const Args &args)
         return 5;
     }
 
-    if (check == "serial" && batchSize == 1) {
-        // The engine's determinism contract: request r must produce
-        // bitwise the same logits as the r-th serial infer() on a
-        // fresh Runtime with the same key seed. Shed requests consumed
-        // their index without encrypting, so the serial runtime still
-        // runs every index and only the survivors are compared. The
-        // serial reference is pinned to the "cpu" backend, so with
-        // --backend fpga-sim/cpu-ref this check is a bitwise
-        // cross-backend comparison, not a self-comparison.
-        hecnn::ExecOptions serialExec;
-        serialExec.backend = "cpu";
-        hecnn::Runtime runtime(plan, ctx, seed, opts.guard,
-                               serialExec);
-        bool identical = true;
-        for (std::uint64_t r = 0; r < requests && identical; ++r) {
-            const auto serial = runtime.infer(inputs[r]);
-            if (outcomes[r].failure)
-                continue;
-            identical = serial.size() == outcomes[r].logits.size();
-            for (std::size_t i = 0; identical && i < serial.size();
-                 ++i)
-                identical = serial[i] == outcomes[r].logits[i];
-            if (!identical)
-                std::cout << "request " << r
-                          << ": batched logits DIVERGE from serial\n";
-        }
-        std::cout << (identical
-                          ? "batched logits identical to serial "
-                            "inference\nPASS\n"
-                          : "FAIL\n");
-        return identical ? 0 : 1;
-    }
     if (check == "serial") {
-        // Slot-batched lanes cannot be bitwise-identical to serial
-        // runs (the CKKS encoder rounds over all slots jointly — see
-        // docs/ARCHITECTURE.md section 15), so the B > 1 check is the
-        // repo-wide numeric criterion instead: every surviving request
-        // must agree with an unbatched serial reference within the
-        // 1e-2 logit tolerance and on the argmax.
-        hecnn::ExecOptions serialExec;
-        serialExec.backend = "cpu";
-        const auto serialPlan = hecnn::compile(net, params);
-        hecnn::Runtime runtime(serialPlan, ctx, seed, opts.guard,
-                               serialExec);
+        // Request r must match request r of an unbatched serial
+        // reference with the same key seed; shed and degraded requests
+        // are not compared. At B = 1 the engine served r as a group of
+        // one, which encrypts exactly what the reference encrypts, so
+        // the logits must be bitwise identical. Slot-batched lanes
+        // cannot be (the CKKS encoder rounds over all slots jointly —
+        // see docs/ARCHITECTURE.md section 15), so at B > 1 the check
+        // is the repo-wide numeric criterion: within the 1e-2 logit
+        // tolerance and on the argmax.
+        std::optional<hecnn::HeNetworkPlan> unbatched;
+        if (batchSize > 1)
+            unbatched = hecnn::compile(net, params);
+        const SerialReference reference(unbatched ? *unbatched : plan,
+                                        ctx, seed, opts.guard);
+        const bool bitwise = batchSize == 1;
         constexpr double kTolerance = 1e-2;
         double maxErr = 0.0;
-        bool equivalent = true;
-        for (std::uint64_t r = 0; r < requests && equivalent; ++r) {
-            const auto serial = runtime.infer(inputs[r]);
+        bool argmaxMatches = true;
+        bool pass = true;
+        for (std::uint64_t r = 0; r < requests && pass; ++r) {
             if (outcomes[r].failure)
                 continue;
-            const auto &batched = outcomes[r].logits;
-            equivalent = serial.size() == batched.size();
+            const auto serial = reference.logits(inputs[r], r);
+            const auto &served = outcomes[r].logits;
+            pass = serial.size() == served.size();
             std::size_t argmaxSerial = 0;
-            std::size_t argmaxBatched = 0;
-            for (std::size_t i = 0; equivalent && i < serial.size();
-                 ++i) {
+            std::size_t argmaxServed = 0;
+            for (std::size_t i = 0; pass && i < serial.size(); ++i) {
+                pass = !bitwise || serial[i] == served[i];
                 maxErr = std::max(maxErr,
-                                  std::abs(serial[i] - batched[i]));
+                                  std::abs(serial[i] - served[i]));
                 if (serial[i] > serial[argmaxSerial])
                     argmaxSerial = i;
-                if (batched[i] > batched[argmaxBatched])
-                    argmaxBatched = i;
+                if (served[i] > served[argmaxServed])
+                    argmaxServed = i;
             }
-            equivalent = equivalent && maxErr < kTolerance &&
-                         argmaxSerial == argmaxBatched;
-            if (!equivalent)
+            argmaxMatches = argmaxSerial == argmaxServed;
+            pass = pass && maxErr < kTolerance && argmaxMatches;
+            if (!pass)
                 std::cout << "request " << r
                           << ": batched logits DIVERGE from serial "
                              "(max |err| "
                           << maxErr << ")\n";
         }
-        std::cout << "batched-vs-serial max |err| = " << maxErr
-                  << " (tolerance " << kTolerance << ", argmax "
-                  << (equivalent ? "matches" : "DIFFERS") << ")\n"
-                  << (equivalent ? "PASS\n" : "FAIL\n");
-        return equivalent ? 0 : 1;
+        if (!bitwise)
+            std::cout << "batched-vs-serial max |err| = " << maxErr
+                      << " (tolerance " << kTolerance << ", argmax "
+                      << (argmaxMatches ? "matches" : "DIFFERS")
+                      << ")\n";
+        else if (pass)
+            std::cout << "batched logits identical to serial "
+                         "inference\n";
+        std::cout << (pass ? "PASS\n" : "FAIL\n");
+        return pass ? 0 : 1;
     }
     std::cout << "OK\n";
     return 0;
