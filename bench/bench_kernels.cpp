@@ -33,8 +33,6 @@
 #include "src/ckks/keygen.hpp"
 #include "src/common/math_util.hpp"
 #include "src/common/rng.hpp"
-#include "src/dse/sim_backend_install.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/client_session.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/plan_executor.hpp"
@@ -561,14 +559,13 @@ main(int argc, char **argv)
 
     fxhenn::telemetry::setEnabled(true);
     // Stamp the execution identity into the telemetry JSON: one
-    // "bench.backend.<name>" and one "bench.simd.<level>" counter.
+    // "bench.backend.cpu" and one "bench.simd.<level>" counter.
     // check_bench_regression.py compares these against the committed
     // baseline and refuses to gate a run taken under a different
-    // backend or SIMD level — those means are not comparable.
-    fxhenn::dse::installFpgaSimBackend();
-    const std::string backendName =
-        fxhenn::hecnn::resolveBackendName("");
-    fxhenn::telemetry::counter("bench.backend." + backendName).add(1);
+    // identity or SIMD level — those means are not comparable. The
+    // host CPU is the only execution path, so the backend stamp is a
+    // constant kept for the baseline's identity check.
+    fxhenn::telemetry::counter("bench.backend.cpu").add(1);
     fxhenn::telemetry::counter(
         std::string("bench.simd.") +
         fxhenn::simd::levelName(fxhenn::simd::activeLevel()))

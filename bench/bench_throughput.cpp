@@ -25,9 +25,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "src/dse/sim_backend_install.hpp"
 #include "src/engine/inference_engine.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/modarith/simd_dispatch.hpp"
 #include "src/nn/model_zoo.hpp"
@@ -76,11 +74,8 @@ main(int argc, char **argv)
     constexpr std::size_t kRequests = 16;
     constexpr std::uint64_t kSeed = 1;
     const unsigned hardwareThreads = std::thread::hardware_concurrency();
-    // Record the execution identity in the baseline: numbers taken
-    // under different backends (or SIMD levels) are not comparable,
-    // and check_bench_regression.py refuses to cross-compare them.
-    dse::installFpgaSimBackend();
-    const std::string backendName = hecnn::resolveBackendName("");
+    // Record the SIMD level in the baseline: numbers taken at
+    // different levels are not comparable.
     const char *simdName = simd::levelName(simd::activeLevel());
 
     const auto net = nn::buildTestNetwork();
@@ -156,8 +151,7 @@ main(int argc, char **argv)
         results.back().requestsPerSecond /
         results.front().requestsPerSecond;
     std::cout << "hardware threads: " << hardwareThreads << "\n"
-              << "backend: " << backendName << " (simd " << simdName
-              << ")\n"
+              << "simd: " << simdName << "\n"
               << "throughput scaling 1 -> 4 workers: "
               << fmtF(scaling1to4, 3) << "x\n"
               << "slot-batch speedup B=16 vs B=1 (1 worker): "
@@ -171,7 +165,6 @@ main(int argc, char **argv)
     out << "{\n"
         << "  \"bench\": \"engine_throughput\",\n"
         << "  \"network\": \"" << net.name() << "\",\n"
-        << "  \"backend\": \"" << backendName << "\",\n"
         << "  \"simd\": \"" << simdName << "\",\n"
         << "  \"requests_per_config\": " << kRequests << ",\n"
         << "  \"hardware_threads\": " << hardwareThreads << ",\n"

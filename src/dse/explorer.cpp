@@ -197,7 +197,7 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
     if (options.replaySim && result.best) {
         // Close the loop on the winner: the closed forms the search
         // ranked points by, checked against the event-driven schedule
-        // the fpga-sim backend will actually charge.
+        // of the same design point.
         result.simReplay.reserve(plan.layers.size());
         for (std::size_t i = 0; i < plan.layers.size(); ++i) {
             ReplayRow row;
@@ -215,6 +215,24 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
         }
     }
     return result;
+}
+
+std::optional<std::string>
+replayWarning(const std::vector<ReplayRow> &rows, double toleranceFrac)
+{
+    const ReplayRow *worst = nullptr;
+    for (const auto &row : rows)
+        if (worst == nullptr || row.errorFrac > worst->errorFrac)
+            worst = &row;
+    if (worst == nullptr || worst->errorFrac <= toleranceFrac)
+        return std::nullopt;
+    std::ostringstream oss;
+    oss.precision(3);
+    oss << "pipeline replay of layer '" << worst->layer
+        << "' diverges from the closed-form prediction by "
+        << worst->errorFrac * 100.0 << "% (tolerance "
+        << toleranceFrac * 100.0 << "%)";
+    return oss.str();
 }
 
 } // namespace fxhenn::dse

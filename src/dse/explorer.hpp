@@ -19,6 +19,7 @@
 #define FXHENN_DSE_EXPLORER_HPP
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/fpga/device.hpp"
@@ -66,12 +67,12 @@ struct ExploreOptions
 
     /**
      * Replay the winning design point through the event-driven
-     * pipeline simulator (fpga/pipeline_sim — the arithmetic core of
-     * the "fpga-sim" execution backend) and report the per-layer
+     * pipeline simulator (fpga/pipeline_sim) and report the per-layer
      * predicted-vs-simulated cycle error in ExploreResult::simReplay.
-     * This is the DSE half of the predicted-vs-measured latency loop:
-     * the closed forms the search minimized are checked against the
-     * schedule an executed run would actually be charged.
+     * This is the predicted-vs-simulated latency loop: the closed
+     * forms the search minimized are checked against the schedule of
+     * the same design point. Latency belongs to the design point, not
+     * to a request, so the replay runs once per search.
      */
     bool replaySim = false;
 
@@ -125,6 +126,17 @@ struct ExploreResult
 ExploreResult explore(const hecnn::HeNetworkPlan &plan,
                       const fpga::DeviceSpec &device,
                       const ExploreOptions &options = {});
+
+/**
+ * Warn-level gate on a replay (ExploreResult::simReplay): when some
+ * layer's simulated cycles diverge from the closed-form prediction by
+ * more than @p toleranceFrac, a non-fatal message naming the worst
+ * layer (the first of equal ones); nothing otherwise. A divergent
+ * layer means the performance model and the schedule disagree, which
+ * is a modelling bug to investigate, not a wrong result.
+ */
+std::optional<std::string> replayWarning(
+    const std::vector<ReplayRow> &rows, double toleranceFrac);
 
 } // namespace fxhenn::dse
 

@@ -159,9 +159,7 @@ InferenceEngine::runGroup(
             control);
         for (const std::size_t b : liveSlots) {
             group.outcomes[b].budget = result.budget;
-            group.outcomes[b].backendName = result.backendName;
             group.outcomes[b].opsExecuted = result.executed.total();
-            group.outcomes[b].simulated = result.simulated;
         }
         if (result.failure) {
             // Whole-group degradation (guard violation, mid-run

@@ -53,7 +53,7 @@
  * consumed its index, so the survivors stay aligned with that serial
  * reference. Batched (B > 1) outputs are a pure function of the
  * ordered member composition and its inputs, bitwise reproducible
- * across repeats, worker counts and arithmetic-preserving backends.
+ * across repeats, worker counts and SIMD levels.
  * They are numerically — not bitwise — equal to the B serial runs (see
  * docs/ARCHITECTURE.md section 15 for why bitwise cross-equality is
  * impossible under CKKS canonical-embedding rounding).
@@ -109,11 +109,7 @@ struct EngineOptions
      * worker takes whatever is already queued and runs immediately.
      */
     double batchWindowSeconds = 0.01;
-    /**
-     * Executor strategy, including the execution backend every worker
-     * dispatches HE ops through (ExecOptions::backend; empty resolves
-     * FXHENN_BACKEND and defaults to "cpu").
-     */
+    /** Executor strategy (hoisting, keyswitch mode) of every worker. */
     hecnn::ExecOptions exec{};
 };
 

@@ -141,7 +141,6 @@ evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
     double work_units = 0.0;
     unsigned work_inter = 1;
     unsigned work_nc = 2;
-    bool any_ew = false;
     for (HeOpModule op :
          {HeOpModule::ccAdd, HeOpModule::pcMult, HeOpModule::ccMult,
           HeOpModule::rescale, HeOpModule::keySwitch}) {
@@ -155,8 +154,6 @@ evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
             work_inter, static_cast<unsigned>(effective_inter(
                             op, opCount(layer, op))));
         work_nc = std::max(work_nc, oa.ncNtt);
-        any_ew = any_ew || op == HeOpModule::ccAdd ||
-                 op == HeOpModule::pcMult || op == HeOpModule::ccMult;
     }
 
     // Liveness-informed tightening: the stream buffers are replicated
@@ -197,7 +194,6 @@ evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
                              (l + 1.0);
         critical_blocks += extra * limbBufferBlocks(n, oa.ncNtt);
     }
-    (void)any_ew;
     const double blocks = stream_blocks + critical_blocks;
     perf.bramBlocks = blocks;
 

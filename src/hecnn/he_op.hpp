@@ -26,9 +26,6 @@ enum class HeOpKind : std::uint8_t {
     copy,        ///< bookkeeping only (no HE cost)
 };
 
-/** @return the paper's module label ("OP1".."OP5") for an opcode. */
-const char *opModuleLabel(HeOpKind kind);
-
 /** @return a human-readable opcode name. */
 const char *opName(HeOpKind kind);
 

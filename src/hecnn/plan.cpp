@@ -5,28 +5,6 @@
 namespace fxhenn::hecnn {
 
 const char *
-opModuleLabel(HeOpKind kind)
-{
-    switch (kind) {
-      case HeOpKind::ccAdd:
-      case HeOpKind::pcAdd:
-        return "OP1";
-      case HeOpKind::pcMult:
-        return "OP2";
-      case HeOpKind::ccMult:
-        return "OP3";
-      case HeOpKind::rescale:
-        return "OP4";
-      case HeOpKind::relinearize:
-      case HeOpKind::rotate:
-        return "OP5";
-      case HeOpKind::copy:
-        return "-";
-    }
-    return "?";
-}
-
-const char *
 opName(HeOpKind kind)
 {
     switch (kind) {

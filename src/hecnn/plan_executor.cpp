@@ -30,6 +30,16 @@ executable(const HeNetworkPlan &plan)
     return plan;
 }
 
+const ExecOptions &
+supported(const ExecOptions &exec)
+{
+    FXHENN_FATAL_IF(!exec.backend.empty() && exec.backend != "cpu",
+                    "unknown execution backend '" + exec.backend +
+                        "': the executor runs on the host CPU only "
+                        "(accepted: \"\" or \"cpu\")");
+    return exec;
+}
+
 } // namespace
 
 PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
@@ -41,9 +51,7 @@ PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
                            ExecOptions exec)
     : plan_(executable(plan)), context_(context), relin_(relin),
       galois_(galois), pool_(pool), encoder_(context),
-      execOptions_(exec),
-      backend_(createBackend(resolveBackendName(exec.backend))),
-      guard_(plan, context, guard)
+      execOptions_(supported(exec)), guard_(plan, context, guard)
 {
 }
 
@@ -124,8 +132,8 @@ PlanExecutor::executeLayer(Run &run, std::size_t li) const
             steps.reserve(group.count);
             for (std::size_t m = 0; m < group.count; ++m)
                 steps.push_back(layer.instrs[group.begin + m].step);
-            auto rotated = run.ops->rotateHoisted(reg(instr.src),
-                                                  steps);
+            auto rotated = run.evaluator.rotateHoisted(
+                reg(instr.src), steps, galois_);
             for (std::size_t m = 0; m < group.count; ++m)
                 regs[static_cast<std::size_t>(
                     layer.instrs[group.begin + m].dst)] =
@@ -138,7 +146,7 @@ PlanExecutor::executeLayer(Run &run, std::size_t li) const
           case HeOpKind::pcMult: {
             const auto &pt = pool_.at(instr.pt);
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->mulPlain(reg(instr.src), pt);
+                run.evaluator.mulPlain(reg(instr.src), pt);
             break;
           }
           case HeOpKind::pcAdd: {
@@ -150,33 +158,33 @@ PlanExecutor::executeLayer(Run &run, std::size_t li) const
                 std::span<const double>(pool.values), target.scale,
                 target.level());
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->addPlain(target, encoded);
+                run.evaluator.addPlain(target, encoded);
             break;
           }
           case HeOpKind::ccAdd:
-            run.ops->addInplace(reg(instr.dst), reg(instr.src));
+            run.evaluator.addInplace(reg(instr.dst), reg(instr.src));
             break;
           case HeOpKind::ccMult: {
             const ckks::Ciphertext &src = reg(instr.src);
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->mulNoRelin(src, src);
+                run.evaluator.mulNoRelin(src, src);
             break;
           }
           case HeOpKind::relinearize:
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->relinearize(reg(instr.src));
+                run.evaluator.relinearize(reg(instr.src), relin_);
             break;
           case HeOpKind::rescale:
             if (instr.dst == instr.src) {
-                run.ops->rescaleInplace(reg(instr.dst));
+                run.evaluator.rescaleInplace(reg(instr.dst));
             } else {
                 regs[static_cast<std::size_t>(instr.dst)] =
-                    run.ops->rescale(reg(instr.src));
+                    run.evaluator.rescale(reg(instr.src));
             }
             break;
           case HeOpKind::rotate:
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->rotate(reg(instr.src), instr.step);
+                run.evaluator.rotate(reg(instr.src), instr.step, galois_);
             break;
           case HeOpKind::copy:
             regs[static_cast<std::size_t>(instr.dst)] = reg(instr.src);
@@ -203,13 +211,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
     FXHENN_TELEM_SCOPED_TIMER("hecnn.infer.ns");
     FXHENN_TELEM_COUNT("hecnn.inferences", 1);
 
-    BackendRunContext runCtx;
-    runCtx.plan = &plan_;
-    runCtx.context = &context_;
-    runCtx.relin = &relin_;
-    runCtx.galois = &galois_;
-    runCtx.kswMode = execOptions_.kswMode;
-    Run run{backend_->beginRun(runCtx), {}, {}, 0};
+    Run run{ckks::Evaluator(context_, execOptions_.kswMode), {}, {}, 0};
     run.regs.resize(static_cast<std::size_t>(plan_.regCount));
     FXHENN_FATAL_IF(inputs.size() > run.regs.size(),
                     "plan has " + std::to_string(inputs.size()) +
@@ -229,7 +231,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
         // burning worker time on layers nobody will wait for. This is
         // independent of the guard policy — lateness is not an
         // invariant violation.
-        if (execOptions_.deadlineCheckpoints && control.deadline &&
+        if (control.deadline &&
             std::chrono::steady_clock::now() > *control.deadline) {
             robustness::FailureReport report;
             report.layer = layer.name;
@@ -250,15 +252,13 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
                     }
                 }
             }
-            const ckks::OpCounts before = run.ops->counts();
+            const ckks::OpCounts before = run.evaluator.counts();
             Timer timer;
-            run.ops->beginLayer(layer);
             executeLayer(run, li);
-            run.ops->endLayer(layer);
             MeasuredLayerStats row;
             row.name = layer.name;
             row.seconds = timer.elapsedSeconds();
-            const ckks::OpCounts &after = run.ops->counts();
+            const ckks::OpCounts &after = run.evaluator.counts();
             row.executed.ccAdd = after.ccAdd - before.ccAdd;
             row.executed.pcAdd = after.pcAdd - before.pcAdd;
             row.executed.pcMult = after.pcMult - before.pcMult;
@@ -304,9 +304,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             break;
     }
     out.budget = guard_.trajectory(run.layersChecked);
-    out.executed = run.ops->counts();
-    out.backendName = backend_->name();
-    out.simulated = run.ops->timeline();
+    out.executed = run.evaluator.counts();
     out.layerStats = std::move(run.layerStats);
     out.regs = std::move(run.regs);
     if (out.failure)

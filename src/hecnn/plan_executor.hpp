@@ -6,17 +6,15 @@
  * A PlanExecutor borrows everything it needs by const reference — the
  * compiled plan, the CKKS context, the relinearization/Galois keys and
  * the precomputed PlaintextPool — and keeps no per-request state in
- * the object: every execute() call starts its own backend run and
+ * the object: every execute() call builds its own ckks::Evaluator and
  * register file on the stack. The guard's prediction depends only on
  * the plan, so the executor computes it once, at construction, and
- * shares it read-only between requests. Every HE op dispatches through
- * the ExecutionBackend named in ExecOptions::backend
- * (src/hecnn/backend.hpp), so the same interpreter drives the host CPU
- * path and the cycle-approximate FPGA pipeline simulator unchanged.
- * One executor therefore serves any number of concurrent requests
- * (the InferenceEngine's worker pool), and the
- * FxHENN verification loop (Sec. VII) gets the plan-interpreter half
- * without dragging in the client role.
+ * shares it read-only between requests. One executor therefore serves
+ * any number of concurrent requests (the InferenceEngine's worker
+ * pool), and the FxHENN verification loop (Sec. VII) gets the
+ * plan-interpreter half without dragging in the client role. FPGA
+ * latency is not charged here: it belongs to the DSE's design point
+ * (dse::ExploreResult::simReplay), not to a request.
  */
 #ifndef FXHENN_HECNN_PLAN_EXECUTOR_HPP
 #define FXHENN_HECNN_PLAN_EXECUTOR_HPP
@@ -25,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,7 +31,6 @@
 #include "src/ckks/encoder.hpp"
 #include "src/ckks/evaluator.hpp"
 #include "src/ckks/keys.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/guard.hpp"
 #include "src/hecnn/plaintext_pool.hpp"
 #include "src/hecnn/plan.hpp"
@@ -56,20 +52,13 @@ struct ExecOptions
     /** Keyswitch reduction strategy for the per-run evaluators. */
     ckks::KswMode kswMode = ckks::KswMode::lazy;
     /**
-     * Execution backend every HE op of this executor dispatches
-     * through, by registry name ("cpu", "cpu-ref", "fpga-sim", ...).
-     * Empty resolves the FXHENN_BACKEND environment variable and
-     * falls back to "cpu" (hecnn::resolveBackendName()); an unknown
-     * name is a ConfigError at executor construction.
+     * Compatibility field: the executor has one arithmetic path, the
+     * host CPU evaluator. Only "" and "cpu" are accepted; any other
+     * value is a ConfigError at executor construction. Kept because
+     * the benchmark workloads still assign "cpu"; a later benchmark
+     * change removes it.
      */
     std::string backend;
-    /**
-     * Honor RunControl::deadline at layer boundaries: an in-flight
-     * request whose budget is blown aborts cooperatively with a
-     * FailureReport (op "deadline") instead of running to completion.
-     * Off means deadlines are checked only at admission.
-     */
-    bool deadlineCheckpoints = true;
 };
 
 /**
@@ -109,15 +98,8 @@ struct ExecutionResult
     std::vector<std::optional<ckks::Ciphertext>> regs;
     /** Wall time + executed-op breakdown per layer. */
     std::vector<MeasuredLayerStats> layerStats;
-    /** Backend op counters accumulated over the run. */
+    /** Evaluator op counters accumulated over the run. */
     ckks::OpCounts executed;
-    /** Registry name of the backend that ran the request. */
-    std::string backendName;
-    /**
-     * Per-layer simulated-latency timeline, one row per executed
-     * layer; empty unless the backend simulates hardware (fpga-sim).
-     */
-    std::vector<SimLayerLatency> simulated;
     /** Set when the run degraded (GuardPolicy::degrade). */
     std::optional<robustness::FailureReport> failure;
     /** Predicted per-layer noise-budget trajectory. */
@@ -137,25 +119,10 @@ struct InferOutcome
     std::optional<robustness::FailureReport> failure;
     /** Predicted per-layer noise-budget trajectory. */
     std::vector<robustness::BudgetSample> budget;
-    /** Registry name of the execution backend that ran the request. */
-    std::string backendName;
-    /** HE ops the backend dispatched for this request. */
+    /** HE ops the evaluator executed for this request. */
     std::uint64_t opsExecuted = 0;
-    /** Per-layer simulated-latency timeline (empty unless the backend
-     * simulates hardware, e.g. "fpga-sim"). */
-    std::vector<SimLayerLatency> simulated;
 
     bool degraded() const { return failure.has_value(); }
-
-    /** Total simulated seconds across the timeline (0 when empty). */
-    double
-    simulatedSeconds() const
-    {
-        double total = 0.0;
-        for (const auto &row : simulated)
-            total += row.simulatedSeconds;
-        return total;
-    }
 };
 
 /** Stateless-per-request interpreter of one compiled HE-CNN plan. */
@@ -185,11 +152,10 @@ class PlanExecutor
     ExecutionResult execute(std::vector<ckks::Ciphertext> inputs) const;
 
     /**
-     * execute() with per-request serving controls: when
-     * ExecOptions::deadlineCheckpoints is on and @p control carries a
-     * deadline, the run checks it at every layer boundary and aborts
-     * with a FailureReport (op "deadline") once it is past — the
-     * partial trajectory up to the abort is preserved.
+     * execute() with per-request serving controls: when @p control
+     * carries a deadline, the run checks it at every layer boundary
+     * and aborts with a FailureReport (op "deadline") once it is past
+     * — the partial trajectory up to the abort is preserved.
      */
     ExecutionResult execute(std::vector<ckks::Ciphertext> inputs,
                             const RunControl &control) const;
@@ -201,15 +167,11 @@ class PlanExecutor
     }
     const ExecOptions &execOptions() const { return execOptions_; }
 
-    /** The execution backend every op of this executor runs through
-     * (resolved once at construction from ExecOptions::backend). */
-    const ExecutionBackend &backend() const { return *backend_; }
-
   private:
     /** Mutable state of one in-flight request, stack-allocated. */
     struct Run
     {
-        std::unique_ptr<BackendRun> ops;
+        ckks::Evaluator evaluator;
         std::vector<std::optional<ckks::Ciphertext>> regs;
         std::vector<MeasuredLayerStats> layerStats;
         /** Layers whose layer-end check ran: the budget samples a
@@ -228,7 +190,6 @@ class PlanExecutor
     const PlaintextPool &pool_;
     ckks::Encoder encoder_; ///< re-entrant (bias encodes at run scale)
     ExecOptions execOptions_;
-    std::unique_ptr<ExecutionBackend> backend_;
     /** Plan-only guard prediction, computed once at construction. */
     RuntimeGuard guard_;
 };

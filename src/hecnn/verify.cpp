@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "src/ckks/context.hpp"
-#include "src/common/table_printer.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/client_session.hpp"
 #include "src/hecnn/plan_executor.hpp"
@@ -38,41 +37,8 @@ VerifyResult::renderDiagnosis() const
         << fmtBits(predictedHeadroomBits) << " bits\n";
     oss << "  measured output headroom:  "
         << fmtBits(measuredHeadroomBits) << " bits\n";
-    if (latencyWarning) {
-        // Warn level: rendered, never fatal — see VerifyOptions.
-        oss << "warning (non-fatal):\n" << latencyWarning->render();
-    }
     if (failure)
         oss << failure->render();
-    return oss.str();
-}
-
-std::string
-renderLatencyTable(const std::vector<SimLayerLatency> &rows)
-{
-    if (rows.empty())
-        return "";
-    TablePrinter table({"Layer", "Predicted (ms)", "Simulated (ms)",
-                        "Error (%)"});
-    double predicted = 0.0;
-    double simulated = 0.0;
-    for (const auto &row : rows) {
-        predicted += row.predictedSeconds;
-        simulated += row.simulatedSeconds;
-        table.addRow({row.layer, fmtF(row.predictedSeconds * 1e3, 3),
-                      fmtF(row.simulatedSeconds * 1e3, 3),
-                      fmtF(row.errorFrac() * 100.0, 2)});
-    }
-    table.addSeparator();
-    const double totalErr =
-        predicted > 0.0
-            ? std::abs(simulated - predicted) / predicted
-            : 0.0;
-    table.addRow({"total", fmtF(predicted * 1e3, 3),
-                  fmtF(simulated * 1e3, 3),
-                  fmtF(totalErr * 100.0, 2)});
-    std::ostringstream oss;
-    table.print(oss);
     return oss.str();
 }
 
@@ -82,35 +48,19 @@ verifyAgainstPlaintext(const nn::Network &net,
                        std::uint64_t inputSeed, std::uint64_t keySeed,
                        const robustness::GuardOptions &guard)
 {
-    VerifyOptions options;
-    options.inputSeed = inputSeed;
-    options.keySeed = keySeed;
-    options.guard = guard;
-    return verifyAgainstPlaintext(net, params, options);
-}
-
-VerifyResult
-verifyAgainstPlaintext(const nn::Network &net,
-                       const ckks::CkksParams &params,
-                       const VerifyOptions &options)
-{
     const auto plan = compile(net, params);
     ckks::CkksContext ctx(params);
-    ExecOptions exec;
-    exec.backend = options.backend;
-    const ClientSession session(plan, ctx, options.keySeed);
+    const ClientSession session(plan, ctx, keySeed);
     const PlaintextPool pool(plan, ctx);
     const PlanExecutor executor(plan, ctx, session.relinKey(),
                                 session.galoisKeys(), pool,
-                                options.guard, exec);
+                                guard);
 
-    const nn::Tensor input = nn::syntheticInput(net, options.inputSeed);
+    const nn::Tensor input = nn::syntheticInput(net, inputSeed);
     const nn::Tensor expected = net.forward(input);
 
     VerifyResult result;
     auto run = executor.execute(session.encryptInput(input, 0));
-    result.backendName = std::move(run.backendName);
-    result.simulatedLatency = std::move(run.simulated);
     result.noiseBudget = std::move(run.budget);
     if (!result.noiseBudget.empty())
         result.predictedHeadroomBits =
@@ -185,32 +135,6 @@ verifyAgainstPlaintext(const nn::Network &net,
         result.failure = std::move(report);
     }
 
-    // Predicted-vs-measured latency classification — the latency twin
-    // of the headroom check above, fed by a simulating backend's
-    // timeline. Gated at warn level: a divergent layer means the
-    // closed-form model and the event-driven schedule disagree, which
-    // is a performance-model bug to investigate, not a wrong result.
-    const SimLayerLatency *worst = nullptr;
-    for (const auto &row : result.simulatedLatency) {
-        const double err = row.errorFrac();
-        if (err > result.maxLatencyErrorFrac) {
-            result.maxLatencyErrorFrac = err;
-            worst = &row;
-        }
-    }
-    if (worst != nullptr &&
-        result.maxLatencyErrorFrac > options.latencyToleranceFrac) {
-        robustness::FailureReport report;
-        report.layer = "backend";
-        report.op = "latency";
-        report.reason =
-            "simulated latency of layer '" + worst->layer +
-            "' diverges from the DSE prediction by " +
-            fmtBits(result.maxLatencyErrorFrac * 100.0) +
-            "% (tolerance " +
-            fmtBits(options.latencyToleranceFrac * 100.0) + "%)";
-        result.latencyWarning = std::move(report);
-    }
     return result;
 }
 

@@ -16,41 +16,11 @@
 #include <vector>
 
 #include "src/ckks/params.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/stats.hpp"
 #include "src/nn/network.hpp"
 #include "src/robustness/guard.hpp"
 
 namespace fxhenn::hecnn {
-
-/** Knobs of one verifyAgainstPlaintext() run. */
-struct VerifyOptions
-{
-    /** Seed of the synthetic input image. */
-    std::uint64_t inputSeed = 1;
-    /** Seed of the key material / encryption randomness. */
-    std::uint64_t keySeed = 1;
-    /** Guard options for the encrypted run; degrade by default so a
-     * broken run yields a FailureReport instead of garbage logits. */
-    robustness::GuardOptions guard{robustness::GuardPolicy::degrade};
-    /**
-     * Execution backend of the encrypted run, by registry name (empty
-     * resolves FXHENN_BACKEND, default "cpu"). With a simulating
-     * backend ("fpga-sim") the result also carries the per-layer
-     * predicted-vs-simulated latency classification.
-     */
-    std::string backend;
-    /**
-     * Warn-level gate on the simulated latency: a layer whose
-     * event-driven cost diverges from the DSE's closed-form prediction
-     * by more than this fraction sets VerifyResult::latencyWarning
-     * (layer "backend", op "latency"). Latency divergence never fails
-     * passed() — the model being off is a modeling bug, not a crypto
-     * one. The default matches the agreement the pipeline-sim tests
-     * pin (±25 % per layer) with headroom for small layers.
-     */
-    double latencyToleranceFrac = 0.5;
-};
 
 /** Result of one encrypted-vs-plaintext comparison. */
 struct VerifyResult
@@ -75,21 +45,6 @@ struct VerifyResult
     double predictedHeadroomBits = 0.0;
     /** Measured headroom of the output ciphertexts (bits). */
     double measuredHeadroomBits = 0.0;
-    /** Registry name of the backend that ran the encrypted side. */
-    std::string backendName;
-    /** Per-layer predicted-vs-simulated latency rows (empty unless the
-     * backend simulates hardware, e.g. "fpga-sim"). */
-    std::vector<SimLayerLatency> simulatedLatency;
-    /** Max per-layer |simulated - predicted| / predicted. */
-    double maxLatencyErrorFrac = 0.0;
-    /**
-     * Warn-level classification: set when some layer's simulated
-     * latency diverged from the DSE prediction beyond
-     * VerifyOptions::latencyToleranceFrac (layer "backend", op
-     * "latency"). Rendered by renderDiagnosis() but never fails
-     * passed() — see VerifyOptions.
-     */
-    std::optional<robustness::FailureReport> latencyWarning;
 
     /** Pass criterion used across the repository. */
     bool passed(double tolerance = 1e-2) const
@@ -121,20 +76,6 @@ VerifyResult verifyAgainstPlaintext(
     std::uint64_t inputSeed = 1, std::uint64_t keySeed = 1,
     const robustness::GuardOptions &guard = {
         robustness::GuardPolicy::degrade});
-
-/** verifyAgainstPlaintext() with the full option set (backend
- * selection and the predicted-vs-measured latency gate). */
-VerifyResult verifyAgainstPlaintext(const nn::Network &net,
-                                    const ckks::CkksParams &params,
-                                    const VerifyOptions &options);
-
-/**
- * Render the per-layer predicted-vs-simulated latency table of a
- * simulated run (the `fxhenn verify --backend fpga-sim` output).
- * Returns "" when @p rows is empty.
- */
-std::string renderLatencyTable(
-    const std::vector<SimLayerLatency> &rows);
 
 } // namespace fxhenn::hecnn
 

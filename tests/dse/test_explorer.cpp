@@ -6,6 +6,7 @@
 #include "src/dse/explorer.hpp"
 #include "src/dse/pareto.hpp"
 #include "src/hecnn/compiler.hpp"
+#include "src/hecnn/verify.hpp"
 #include "src/nn/model_zoo.hpp"
 
 namespace fxhenn::dse {
@@ -157,6 +158,112 @@ TEST_F(ExplorerTest, ReplaySimOffLeavesReplayEmpty)
     EXPECT_DOUBLE_EQ(result.simReplayMaxErrorFrac, 0.0);
 }
 
+TEST_F(ExplorerTest, ReplayWarningSilentAtCliToleranceFiresWhenTight)
+{
+    // MNIST on ACU15EG: the worst replay row is Fc1 at about 10.6 %
+    // (pipeline fill on a layer with few items). That is inside the
+    // CLI's 0.5 tolerance and outside a 0.05 one, so the gate can
+    // fail on a real plan.
+    ExploreOptions opts;
+    opts.replaySim = true;
+    const auto result = explore(plan_, fpga::acu15eg(), opts);
+    ASSERT_TRUE(result.best.has_value());
+    EXPECT_FALSE(replayWarning(result.simReplay, 0.5).has_value())
+        << *replayWarning(result.simReplay, 0.5);
+    const auto warning = replayWarning(result.simReplay, 0.05);
+    ASSERT_TRUE(warning.has_value());
+    EXPECT_NE(warning->find("layer 'Fc1'"), std::string::npos)
+        << *warning;
+}
+
+TEST(ReplayWarning, NamesTheFirstWorstLayerAndPinsTheMessage)
+{
+    const std::vector<ReplayRow> rows{{"Cnv1", 100.0, 110.0, 0.1},
+                                      {"Fc1", 100.0, 130.0, 0.3},
+                                      {"Fc2", 100.0, 70.0, 0.3},
+                                      {"Act1", 100.0, 120.0, 0.2}};
+    const auto warning = replayWarning(rows, 0.25);
+    ASSERT_TRUE(warning.has_value());
+    EXPECT_EQ(*warning, "pipeline replay of layer 'Fc1' diverges from "
+                        "the closed-form prediction by 30% (tolerance "
+                        "25%)");
+    EXPECT_FALSE(replayWarning(rows, 0.3).has_value())
+        << "an error equal to the tolerance passes";
+    EXPECT_FALSE(replayWarning({}, 0.0).has_value());
+}
+
+/*
+ * Simulated latency on the test network. Latency belongs to a design
+ * point, so the simulated per-layer timeline is the DSE replay of the
+ * winning point, not a property of an encrypted run.
+ */
+class SimBackend : public ::testing::Test
+{
+  protected:
+    SimBackend()
+        : net_(nn::buildTestNetwork()),
+          params_(ckks::testParams(2048, 7, 30)),
+          plan_(hecnn::compile(net_, params_))
+    {}
+
+    ExploreResult
+    replay() const
+    {
+        ExploreOptions opts;
+        opts.replaySim = true;
+        return explore(plan_, fpga::acu9eg(), opts);
+    }
+
+    nn::Network net_;
+    ckks::CkksParams params_;
+    hecnn::HeNetworkPlan plan_;
+};
+
+TEST_F(SimBackend, FixedDesignTimelineCoversEveryLayer)
+{
+    const auto result = replay();
+    ASSERT_TRUE(result.best.has_value());
+    ASSERT_EQ(result.simReplay.size(), plan_.layers.size());
+    for (std::size_t i = 0; i < result.simReplay.size(); ++i) {
+        const auto &row = result.simReplay[i];
+        EXPECT_EQ(row.layer, plan_.layers[i].name);
+        EXPECT_GT(row.predictedCycles, 0.0) << row.layer;
+        EXPECT_GT(row.simulatedCycles, 0.0) << row.layer;
+    }
+
+    // The timeline is a function of the design point alone: replaying
+    // the same search again yields the same rows.
+    const auto again = replay();
+    ASSERT_EQ(again.simReplay.size(), result.simReplay.size());
+    for (std::size_t i = 0; i < again.simReplay.size(); ++i) {
+        EXPECT_EQ(again.simReplay[i].predictedCycles,
+                  result.simReplay[i].predictedCycles);
+        EXPECT_EQ(again.simReplay[i].simulatedCycles,
+                  result.simReplay[i].simulatedCycles);
+    }
+}
+
+TEST_F(SimBackend, VerifyLatencyMatchesDsePredictionWithinTolerance)
+{
+    // The latency-soundness criterion next to the crypto one: the
+    // encrypted run verifies against plaintext, and the simulated
+    // per-layer cost agrees with the closed-form prediction within the
+    // CLI's 0.5 replay tolerance, so `fxhenn design` stays silent.
+    const auto verified = hecnn::verifyAgainstPlaintext(net_, params_);
+    EXPECT_TRUE(verified.passed()) << verified.renderDiagnosis();
+
+    const auto result = replay();
+    ASSERT_FALSE(result.simReplay.empty());
+    double maxErr = 0.0;
+    for (const auto &row : result.simReplay)
+        maxErr = std::max(maxErr, row.errorFrac);
+    EXPECT_DOUBLE_EQ(result.simReplayMaxErrorFrac, maxErr);
+    EXPECT_LE(result.simReplayMaxErrorFrac, 0.5)
+        << "simulated latency diverged from the DSE prediction";
+    const auto warning = replayWarning(result.simReplay, 0.5);
+    EXPECT_FALSE(warning.has_value()) << *warning;
+}
+
 TEST(Pareto, FrontIsNonDominatedAndSorted)
 {
     std::vector<ParetoSample> pts{{500, 1.0}, {400, 2.0}, {600, 0.5},
@@ -165,8 +272,9 @@ TEST(Pareto, FrontIsNonDominatedAndSorted)
     ASSERT_FALSE(front.empty());
     for (std::size_t i = 0; i < front.size(); ++i) {
         for (std::size_t j = 0; j < front.size(); ++j) {
-            if (i != j)
+            if (i != j) {
                 EXPECT_FALSE(dominates(front[i], front[j]));
+            }
         }
         if (i > 0) {
             EXPECT_GT(front[i].bramBlocks, front[i - 1].bramBlocks);

@@ -2,9 +2,9 @@
  * @file
  * Demux determinism contract of cross-request slot batching
  * (docs/ARCHITECTURE.md section 15): batched runs are bitwise
- * reproducible across repeats, worker counts and arithmetic-preserving
- * backends, and numerically equivalent (1e-2 logit tolerance + argmax)
- * to unbatched serial inference. Bitwise cross-equality with serial
+ * reproducible across repeats and worker counts, and numerically
+ * equivalent (1e-2 logit tolerance + argmax) to unbatched serial
+ * inference. Bitwise cross-equality with serial
  * runs is impossible under CKKS canonical-embedding rounding, so it is
  * deliberately NOT asserted here.
  */
@@ -161,33 +161,6 @@ TEST_F(BatchedInferenceTest, WorkerCountDoesNotChangeBatchedResults)
     }
 }
 
-TEST_F(BatchedInferenceTest, FpgaSimBackendIsBitwiseIdenticalToCpu)
-{
-    // fpga-sim delegates its arithmetic to the cpu backend (it adds
-    // latency modeling, not different math), so batched logits must
-    // be bitwise equal across the two.
-    const auto plan = batchedPlan(4);
-    const auto batch = inputs(4, 640);
-
-    auto run = [&](const char *backend) {
-        EngineOptions opts;
-        opts.workers = 1;
-        opts.keySeed = 57;
-        opts.exec.backend = backend;
-        InferenceEngine engine(plan, ctx_, opts);
-        return engine.runBatch(batch);
-    };
-    const auto cpu = run("cpu");
-    const auto sim = run("fpga-sim");
-    for (std::size_t r = 0; r < cpu.size(); ++r) {
-        ASSERT_FALSE(cpu[r].degraded());
-        ASSERT_FALSE(sim[r].degraded());
-        EXPECT_EQ(cpu[r].logits, sim[r].logits)
-            << "request " << r << " differs across backends";
-        EXPECT_EQ(sim[r].backendName, "fpga-sim");
-    }
-}
-
 TEST_F(BatchedInferenceTest, PartialFinalGroupStillServesCorrectly)
 {
     // 6 requests at B = 4: one full group and one 2-member group. The
@@ -270,9 +243,9 @@ TEST_F(BatchedInferenceTest, AllMalformedGroupCountsAsBreakerFailure)
 
 TEST_F(BatchedInferenceTest, EnvironmentBackendStaysDeterministic)
 {
-    // Under the CI backend matrix the whole suite runs with
-    // FXHENN_BACKEND set; the batched path must stay bitwise
-    // reproducible whatever arithmetic-preserving backend is active.
+    // Two engines built from the same key seed in one environment
+    // (whatever FXHENN_SIMD resolved) serve the same batch bitwise
+    // identically.
     const auto plan = batchedPlan(2);
     const auto batch = inputs(2, 555);
 

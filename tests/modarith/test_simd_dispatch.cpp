@@ -192,8 +192,9 @@ TEST(SimdDispatch, AvailabilityLadderIsMonotone)
     // The resolveLevel() degradation rule assumes avx512 is never
     // available without avx2; the dispatcher constructs it that way
     // (CMake nests the TUs, hostSupports(avx512) implies avx2).
-    if (simd::available(simd::Level::avx512))
+    if (simd::available(simd::Level::avx512)) {
         EXPECT_TRUE(simd::available(simd::Level::avx2));
+    }
     EXPECT_TRUE(simd::available(simd::Level::scalar));
     EXPECT_TRUE(simd::compiledIn(simd::Level::scalar));
     EXPECT_TRUE(simd::hostSupports(simd::Level::scalar));

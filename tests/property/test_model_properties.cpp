@@ -52,9 +52,10 @@ TEST_P(ModelGridTest, LatencyMonotoneInIntraAcrossGrid)
         const auto alloc = makeAlloc(nc, 1, intra, ks_inter);
         const auto perf =
             fpga::evaluateNetworkShared(plan_, alloc);
-        if (prev >= 0.0)
+        if (prev >= 0.0) {
             EXPECT_LE(perf.totalCycles, prev * 1.0000001)
                 << "nc=" << nc << " intra=" << intra;
+        }
         prev = perf.totalCycles;
     }
 }
@@ -67,9 +68,10 @@ TEST_P(ModelGridTest, BramMonotoneInIntraAcrossGrid)
         const auto alloc = makeAlloc(nc, 1, intra, ks_inter);
         const auto perf =
             fpga::evaluateNetworkShared(plan_, alloc);
-        if (prev >= 0.0)
+        if (prev >= 0.0) {
             EXPECT_GE(perf.bramPhysical, prev)
                 << "nc=" << nc << " intra=" << intra;
+        }
         prev = perf.bramPhysical;
     }
 }
@@ -146,9 +148,10 @@ TEST(DseProperty, BudgetMonotonicity)
         opts.bramBudgetBlocks = budget;
         const auto result = dse::explore(plan, fpga::acu9eg(), opts);
         ASSERT_TRUE(result.best.has_value()) << budget;
-        if (prev >= 0.0)
+        if (prev >= 0.0) {
             EXPECT_LE(result.best->latencySeconds, prev + 1e-12)
                 << budget;
+        }
         prev = result.best->latencySeconds;
     }
 }

@@ -200,13 +200,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertIn("OK: within threshold", proc.stdout)
 
     def test_cross_backend_comparison_is_refused(self):
-        # A baseline taken under the cpu backend must never gate a run
-        # taken under fpga-sim — the means measure different code
-        # paths, so the gate hard-errors instead of comparing.
+        # A baseline stamped bench.backend.cpu must never gate a run
+        # stamped with another backend identity — the means measure
+        # different code paths, so the gate hard-errors instead of
+        # comparing.
         self.write_baseline(
             count=100, mean=self.BASELINE_MEAN,
             identity=("bench.backend.cpu", "bench.simd.avx2"))
-        self.stamp_bench_identity("bench.backend.fpga-sim",
+        self.stamp_bench_identity("bench.backend.other",
                                   "bench.simd.avx2")
         self.schedule(self.BASELINE_MEAN)
         proc = self.run_gate()

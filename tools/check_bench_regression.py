@@ -29,8 +29,8 @@ METRIC = "ckks.time.keyswitch.ns"
 
 # Telemetry counter prefixes stamping the execution identity of a run
 # (bench.backend.cpu, bench.simd.avx2, ...). Means taken under
-# different execution backends or SIMD levels measure different code
-# paths, so the gate refuses to compare them.
+# different identities or SIMD levels measure different code paths, so
+# the gate refuses to compare them.
 IDENTITY_PREFIXES = ("bench.backend.", "bench.simd.")
 
 
@@ -82,8 +82,8 @@ def check_same_identity(baseline_path: Path, baseline_doc: dict,
             f"baseline {baseline_path} was taken under "
             f"{list(base_id) or '(unstamped)'} but the bench run "
             f"{run_path} under {list(run_id) or '(unstamped)'}; "
-            "regenerate the baseline under the same FXHENN_BACKEND / "
-            "FXHENN_SIMD configuration and the same batch size"
+            "regenerate the baseline under the same FXHENN_SIMD "
+            "configuration and the same batch size"
         )
 
 

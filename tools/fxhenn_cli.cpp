@@ -51,8 +51,6 @@
 #include "src/analysis/verifier.hpp"
 #include "src/common/assert.hpp"
 #include "src/dse/explorer.hpp"
-#include "src/dse/sim_backend_install.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/engine/inference_engine.hpp"
 #include "src/telemetry/telemetry.hpp"
 #include "src/fxhenn/codegen.hpp"
@@ -94,14 +92,12 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
     {"info", {"model"}},
     {"plan", {"model", "save", "load", "layer"}},
     {"design",
-     {"model", "device", "out", "report", "liveness", "certify",
-      "backend"}},
+     {"model", "device", "out", "report", "liveness", "certify"}},
     {"sweep", {"model", "min", "max", "step"}},
-    {"verify", {"seed", "guard", "backend"}},
+    {"verify", {"seed", "guard"}},
     {"batch",
      {"model", "requests", "workers", "queue", "seed", "guard",
-      "check", "deadline-ms", "admission", "retries", "backend",
-      "batch-size"}},
+      "check", "deadline-ms", "admission", "retries", "batch-size"}},
     {"lint",
      {"model", "load", "format", "list-passes", "noise-cert",
       "rewrite"}},
@@ -189,8 +185,10 @@ usage()
         "  plan   --model mnist|cifar10          per-layer HE plan\n"
         "         [--save FILE] [--load FILE]     plan deployment\n"
         "         [--layer N]                    disassemble layer N\n"
-        "  design --model mnist|cifar10          run DSE, emit HLS\n"
-        "         --device acu9eg|acu15eg\n"
+        "  design --model mnist|cifar10          run DSE, emit HLS;\n"
+        "         --device acu9eg|acu15eg        prints the winner's\n"
+        "                          per-layer predicted-vs-simulated\n"
+        "                          cycles (pipeline replay)\n"
         "         [--out DIR] [--report 1]\n"
         "         [--liveness 1]                 tighten the BRAM\n"
         "                          bound with register liveness and\n"
@@ -198,19 +196,11 @@ usage()
         "         [--certify 1]                  gate DSE on the noise\n"
         "                          certificate and report how many\n"
         "                          prime-chain levels it can prune\n"
-        "         [--backend fpga-sim]           replay the winning\n"
-        "                          design point through the pipeline\n"
-        "                          simulator and report the per-layer\n"
-        "                          prediction error\n"
         "  sweep  --model mnist|cifar10          Fig. 9 budget sweep\n"
         "         [--min 350] [--max 1500] [--step 100]\n"
         "  verify [--seed 1]                     encrypted-vs-plain "
         "check\n"
         "         [--guard strict|warn|degrade]  guard policy\n"
-        "         [--backend cpu|cpu-ref|fpga-sim]\n"
-        "                          execution backend; fpga-sim also\n"
-        "                          prints the per-layer predicted-vs-\n"
-        "                          measured latency table\n"
         "  batch  --model mnist|test             concurrent batched\n"
         "         [--requests 8] [--workers 4]   encrypted inference\n"
         "         [--queue 2*workers] [--seed 1]\n"
@@ -222,11 +212,6 @@ usage()
         "         [--admission block|shed|degrade]\n"
         "         [--retries R]                  deterministic re-runs\n"
         "                          of transient failures (max 16)\n"
-        "         [--backend cpu|cpu-ref|fpga-sim]\n"
-        "                          execution backend of the workers\n"
-        "                          (--check serial stays on cpu, so\n"
-        "                          the bitwise cross-check spans\n"
-        "                          backends)\n"
         "         [--batch-size B]               pack B requests into\n"
         "                          shared ciphertext slots (B must\n"
         "                          divide N/2; with B > 1 --check\n"
@@ -251,10 +236,6 @@ usage()
         "  --verify-plan 1         run the static verifier over every\n"
         "                          plan loaded from disk (ConfigError\n"
         "                          on error-severity findings)\n"
-        "\n"
-        "Environment: FXHENN_BACKEND=cpu|cpu-ref|fpga-sim selects the\n"
-        "execution backend when --backend is absent (like FXHENN_SIMD\n"
-        "for the kernel level); unknown values exit 3.\n"
         "\n"
         "Exit codes: 0 ok/PASS/lint clean, 1 verify FAIL, 2 usage,\n"
         "3 config error, 4 internal error or lint errors, 5 verify\n"
@@ -353,6 +334,13 @@ cmdPlan(const Args &args)
     return 0;
 }
 
+/**
+ * Per-layer replay error above which `design` prints a non-fatal
+ * warning: the pipeline schedule and the closed forms may differ by
+ * pipeline fill on layers with few items, but not by half.
+ */
+constexpr double kReplayToleranceFrac = 0.5;
+
 int
 cmdDesign(const Args &args)
 {
@@ -368,12 +356,10 @@ cmdDesign(const Args &args)
         liveness == "1" || liveness == "true";
     opts.explore.certifyNoise =
         certify == "1" || certify == "true";
-    // --backend fpga-sim closes the loop: the winning point is
-    // replayed through the same event-driven schedule the simulated
-    // executor charges, and the prediction error is reported.
-    const std::string backend =
-        hecnn::resolveBackendName(args.get("backend", ""));
-    opts.explore.replaySim = backend == "fpga-sim";
+    // Close the latency loop: the winning point is replayed through
+    // the event-driven pipeline schedule and the per-layer prediction
+    // error is reported.
+    opts.explore.replaySim = true;
     const auto sol =
         Fxhenn::generate(model.net, model.params, device, opts);
 
@@ -407,7 +393,7 @@ cmdDesign(const Args &args)
 
     if (!sol.simReplay.empty()) {
         std::cout << "  replay   predicted-vs-simulated cycles "
-                     "(fpga-sim backend):\n";
+                     "(pipeline schedule):\n";
         for (const auto &row : sol.simReplay) {
             std::cout << "           " << row.layer << ": predicted "
                       << row.predictedCycles << ", simulated "
@@ -416,6 +402,9 @@ cmdDesign(const Args &args)
         }
         std::cout << "           max prediction error "
                   << 100.0 * sol.simReplayMaxErrorFrac << " %\n";
+        if (auto warning = dse::replayWarning(sol.simReplay,
+                                              kReplayToleranceFrac))
+            std::cout << "  warning (non-fatal): " << *warning << "\n";
     }
 
     const std::string out = args.get("out", "");
@@ -581,15 +570,12 @@ int
 cmdVerify(const Args &args)
 {
     const auto seed = parseU64("seed", args.get("seed", "1"));
-    hecnn::VerifyOptions options;
-    options.inputSeed = seed;
-    options.keySeed = seed;
-    options.guard.policy =
+    robustness::GuardOptions guard;
+    guard.policy =
         robustness::parseGuardPolicy(args.get("guard", "degrade"));
-    options.backend = args.get("backend", "");
     const auto result = hecnn::verifyAgainstPlaintext(
-        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30),
-        options);
+        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30), seed, seed,
+        guard);
     if (result.failure) {
         std::cout << "encrypted inference DEGRADED\n\n"
                   << result.renderDiagnosis() << "\nDEGRADED\n";
@@ -598,21 +584,11 @@ cmdVerify(const Args &args)
     std::cout << "encrypted-vs-plaintext max |err| = "
               << result.maxAbsError << " over "
               << result.encryptedLogits.size() << " logits, "
-              << result.hopsExecuted << " HE ops executed (backend "
-              << result.backendName << ")\n"
+              << result.hopsExecuted << " HE ops executed\n"
               << (result.argmaxMatches ? "argmax matches\n"
                                        : "argmax DIFFERS\n")
               << "\n"
               << hecnn::renderMeasuredStats(result.layers) << "\n";
-    if (!result.simulatedLatency.empty()) {
-        // The predicted-vs-measured latency loop: per-layer DSE
-        // prediction against the event-driven simulated cost.
-        std::cout << "predicted-vs-simulated latency (backend "
-                  << result.backendName << "):\n"
-                  << hecnn::renderLatencyTable(result.simulatedLatency)
-                  << "max per-layer prediction error "
-                  << 100.0 * result.maxLatencyErrorFrac << " %\n\n";
-    }
     std::cout << result.renderDiagnosis();
     const bool pass = result.passed();
     std::cout << (pass ? "PASS" : "FAIL") << "\n";
@@ -622,8 +598,7 @@ cmdVerify(const Args &args)
 /**
  * The serial reference of `batch --check serial`: request r of @p plan
  * through its own ClientSession + PlanExecutor with the engine's key
- * seed. It is pinned to the "cpu" backend, so a --backend fpga-sim or
- * cpu-ref serve is compared across backends, not with itself.
+ * seed.
  */
 class SerialReference
 {
@@ -633,8 +608,7 @@ class SerialReference
                     const robustness::GuardOptions &guard)
         : session_(plan, ctx, seed), pool_(plan, ctx),
           executor_(plan, ctx, session_.relinKey(),
-                    session_.galoisKeys(), pool_, guard,
-                    hecnn::ExecOptions{.backend = "cpu"})
+                    session_.galoisKeys(), pool_, guard)
     {}
 
     /** Decrypted logits of request @p r; throws if the run degrades. */
@@ -710,7 +684,6 @@ cmdBatch(const Args &args)
         engine::parseAdmissionPolicy(args.get("admission", "block"));
     opts.deadlineSeconds = double(deadlineMs) / 1000.0;
     opts.retry.maxRetries = static_cast<std::uint32_t>(retries);
-    opts.exec.backend = args.get("backend", "");
 
     hecnn::CompileOptions compileOpts;
     compileOpts.batchLanes = batchSize;
@@ -728,9 +701,7 @@ cmdBatch(const Args &args)
               << opts.queueCapacity << ", guard "
               << robustness::guardPolicyName(opts.guard.policy)
               << ", admission "
-              << engine::admissionPolicyName(opts.admission)
-              << ", backend "
-              << engine.executor().backend().name();
+              << engine::admissionPolicyName(opts.admission);
     if (deadlineMs > 0)
         std::cout << ", deadline " << deadlineMs << " ms";
     if (retries > 0)
@@ -781,29 +752,10 @@ cmdBatch(const Args &args)
               << " plaintexts, "
               << double(engine.plaintextPool().bytes()) / (1 << 20)
               << " MiB shared\n";
-    {
-        // Backend identity line: which executor ran the batch, how
-        // many HE ops it dispatched, and — for a simulating backend —
-        // the mean simulated hardware latency per executed request.
-        std::uint64_t dispatched = 0;
-        double simSeconds = 0.0;
-        std::size_t simulatedRuns = 0;
-        for (const auto &outcome : outcomes) {
-            dispatched += outcome.opsExecuted;
-            if (outcome.simulated.empty())
-                continue;
-            simSeconds += outcome.simulatedSeconds();
-            ++simulatedRuns;
-        }
-        std::cout << "  backend     "
-                  << engine.executor().backend().name() << ", "
-                  << dispatched << " HE ops dispatched";
-        if (simulatedRuns > 0)
-            std::cout << ", mean simulated latency "
-                      << simSeconds / double(simulatedRuns)
-                      << " s/request";
-        std::cout << "\n";
-    }
+    std::uint64_t dispatched = 0;
+    for (const auto &outcome : outcomes)
+        dispatched += outcome.opsExecuted;
+    std::cout << "  HE ops      " << dispatched << " dispatched\n";
     if (2 * shed > requests) {
         for (const auto &outcome : outcomes) {
             if (outcome.failure &&
@@ -902,12 +854,6 @@ main(int argc, char **argv)
         // debug-mode self-check and --verify-plan loads have a
         // verifier to call.
         analysis::installPlanVerifier();
-        // Likewise the DSE library: register the "fpga-sim" execution
-        // backend, then resolve the requested backend up front so a
-        // bad --backend / FXHENN_BACKEND value is a ConfigError (exit
-        // 3) before any work runs — same contract as FXHENN_SIMD.
-        dse::installFpgaSimBackend();
-        hecnn::resolveBackendName(args.get("backend", ""));
         const std::string verifyPlanFlag = args.get("verify-plan", "");
         if (verifyPlanFlag == "1" || verifyPlanFlag == "true")
             hecnn::setLoadVerification(true);
