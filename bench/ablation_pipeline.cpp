@@ -33,8 +33,8 @@ main()
                         "Gain"});
     double serial_total = 0.0, pipe_total = 0.0;
     for (const auto &layer : plan.layers) {
-        const auto stages =
-            fpga::layerStages(layer, plan.params.n, alloc);
+        const auto stages = fpga::layerStages(fpga::summarizeLayer(layer),
+                                              plan.params.n, alloc);
         const std::size_t items = std::max<std::size_t>(layer.nIn, 1);
         const double serial =
             device.seconds(fpga::simulateSerial(items, stages));
@@ -43,7 +43,7 @@ main()
         serial_total += serial;
         pipe_total += pipe;
         table.addRow({layer.name,
-                      layer.cls == hecnn::LayerClass::ks ? "KS" : "NKS",
+                      layer.cls() == hecnn::LayerClass::ks ? "KS" : "NKS",
                       fmtF(serial, 4), fmtF(pipe, 4),
                       fmtF(serial / pipe, 2) + "X"});
     }

@@ -16,7 +16,7 @@ using fpga::HeOpModule;
 namespace {
 
 unsigned
-layerOpDsp(const hecnn::HeLayerPlan &layer,
+layerOpDsp(const fpga::LayerWork &layer,
            const fpga::ModuleAllocation &alloc, HeOpModule op)
 {
     const std::uint64_t count = fpga::opCount(layer, op);
@@ -53,8 +53,9 @@ main()
                   << "\n";
         TablePrinter table({"Layer", "CCadd", "PCmult", "CCmult",
                             "Rescale", "KeySwitch", "Layer total"});
-        for (std::size_t i = 0; i < fx.plan.layers.size(); ++i) {
-            const auto &layer = fx.plan.layers[i];
+        const auto work = fpga::summarizeLayers(fx.plan);
+        for (std::size_t i = 0; i < work.size(); ++i) {
+            const auto &layer = work[i];
             const fpga::ModuleAllocation &alloc =
                 (variant == 0) ? baseline.perLayer[i]
                                : fx.design.alloc;

@@ -54,7 +54,7 @@ main()
     double dsp_sum = 0.0, bram_sum = 0.0;
     double paper_dsp_sum = 0.0, paper_bram_sum = 0.0;
     for (std::size_t i = 0; i < plan.layers.size(); ++i) {
-        const auto &layer = plan.layers[i];
+        const auto layer = fpga::summarizeLayer(plan.layers[i]);
         const auto perf =
             fpga::evaluateLayer(layer, plan.params.n, alloc);
         const double dsp_pct = 100.0 * perf.dsp / device.dspSlices;

@@ -45,7 +45,7 @@ main()
                         "Slowdown (ours)"});
 
     for (const auto &row : rows) {
-        const auto &layer = plan.layers[row.index];
+        const auto layer = fpga::summarizeLayer(plan.layers[row.index]);
         const auto on_chip =
             fpga::evaluateLayer(layer, plan.params.n, alloc);
         const auto off_chip =

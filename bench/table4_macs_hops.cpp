@@ -42,8 +42,8 @@ main()
     for (std::size_t i = 0; i < 2; ++i) {
         const auto &row = rows[i];
         macs[i] = double(net.layer(row.nnIndex).macs());
-        he_macs[i] =
-            fpga::layerModMuls(plan.layers[row.nnIndex], plan.params.n);
+        he_macs[i] = fpga::layerModMuls(
+            fpga::summarizeLayer(plan.layers[row.nnIndex]), plan.params.n);
         const auto counts = plan.layers[row.nnIndex].counts();
         table.addRow({row.layer, fmtF(row.paperMacs1e4),
                       fmtF(macs[i] / 1e4), fmtF(row.paperHops, 0),
@@ -61,7 +61,9 @@ main()
                   fmtI(static_cast<long long>(
                       fast_fc1.counts().keySwitch())),
                   "-",
-                  fmtF(fpga::layerModMuls(fast_fc1, fast.params.n) / 1e4,
+                  fmtF(fpga::layerModMuls(fpga::summarizeLayer(fast_fc1),
+                                          fast.params.n) /
+                           1e4,
                        1)});
     table.print(std::cout);
 

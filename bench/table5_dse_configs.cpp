@@ -24,8 +24,8 @@ main()
     const auto plan =
         hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams(),
                        bench::paperCompileOptions());
-    const auto &cnv1 = plan.layers[0];
-    const auto &fc1 = plan.layers[2];
+    const auto cnv1 = fpga::summarizeLayer(plan.layers[0]);
+    const auto fc1 = fpga::summarizeLayer(plan.layers[2]);
 
     // Config A: intra parallelism to Fc1's KeySwitch (its bottleneck);
     // Config B: intra parallelism to Cnv1's Rescale instead.

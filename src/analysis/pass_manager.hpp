@@ -4,9 +4,9 @@
  *
  * Owns an ordered pipeline of AnalysisPass instances and runs them
  * over one plan, collecting every finding into a single
- * AnalysisReport. The standard pipeline (standardPasses()) is the
- * contract `fxhenn lint`, the plan-load verification hook and the
- * compiler self-check all share.
+ * AnalysisReport. The standard pipeline (standard()) is the contract
+ * `fxhenn lint`, `--verify-plan` loads and the compile-check tests all
+ * share.
  */
 #ifndef FXHENN_ANALYSIS_PASS_MANAGER_HPP
 #define FXHENN_ANALYSIS_PASS_MANAGER_HPP
@@ -34,7 +34,7 @@ class PassManager
     /** Run every pass over @p plan and merge the findings. */
     AnalysisReport run(const hecnn::HeNetworkPlan &plan) const;
 
-    /** The standard 10-pass verification pipeline. */
+    /** The standard 8-pass verification pipeline. */
     static PassManager standard();
 
   private:
@@ -47,8 +47,6 @@ std::unique_ptr<AnalysisPass> makeScaleLevelPass();
 std::unique_ptr<AnalysisPass> makeLivenessPass();
 std::unique_ptr<AnalysisPass> makeRotationKeyPass();
 std::unique_ptr<AnalysisPass> makeLayoutPass();
-std::unique_ptr<AnalysisPass> makeOpCountPass();
-std::unique_ptr<AnalysisPass> makeLayerClassPass();
 std::unique_ptr<AnalysisPass> makeNoiseBudgetPass();
 std::unique_ptr<AnalysisPass> makeRescalePlacementPass();
 std::unique_ptr<AnalysisPass> makeBatchLayoutPass();

@@ -11,11 +11,11 @@
  *   2. scale-level        abstract interpretation of (level, scale, parts)
  *   3. liveness           dead results + per-layer peak live registers
  *   4. rotation-keys      Galois key coverage of every rotate step
- *   5. slot-layout        SlotLayout / inputGather / plaintext pool sanity
- *   6. op-counts          cached kind counts vs a recount of the stream
- *   7. layer-class        NKS/KS classification (Sec. V-A)
- *   8. noise-budget       static noise certification (docs sec. 13)
- *   9. rescale-placement  redundant / deferrable / missing rescales
+ *   5. slot-layout        SlotLayout / inputGather / plaintext pool / N_in
+ *   6. noise-budget       static noise certification (docs sec. 13)
+ *   7. rescale-placement  redundant / deferrable / missing rescales
+ *   8. batch-layout       lane-preserving rotations and broadcast
+ *                         plaintexts of a batched plan (docs sec. 15)
  */
 #include "src/analysis/pass_manager.hpp"
 
@@ -28,7 +28,6 @@
 
 #include "src/analysis/liveness.hpp"
 #include "src/hecnn/noise_cert.hpp"
-#include "src/hecnn/rotation_groups.hpp"
 
 namespace fxhenn::analysis {
 
@@ -552,7 +551,7 @@ class LayoutPass final : public AnalysisPass
     const char *
     description() const override
     {
-        return "SlotLayout, inputGather and plaintext-pool sanity";
+        return "SlotLayout, inputGather, plaintext-pool and N_in sanity";
     }
 
     void
@@ -589,6 +588,13 @@ class LayoutPass final : public AnalysisPass
                         static_cast<std::int32_t>(li),
                         plan.layers[li].name, report);
             checkInstrPool(facts, li, report);
+            if (plan.layers[li].nIn == 0) {
+                report.addLayer(
+                    Severity::warning, name(), li, plan.layers[li].name,
+                    "layer declares zero input ciphertexts (nIn)",
+                    "the FPGA pipeline model clamps nIn to 1; fix "
+                    "the metadata");
+            }
         }
         checkLayout(facts, plan.outputLayout, -1, "", report);
 
@@ -717,129 +723,7 @@ class LayoutPass final : public AnalysisPass
     }
 };
 
-// --- pass 6: cached op counts vs recount -----------------------------------
-
-class OpCountPass final : public AnalysisPass
-{
-  public:
-    const char *name() const override { return "op-counts"; }
-    const char *
-    description() const override
-    {
-        return "cached kindCounts/HeOpCounts vs a recount of the "
-               "stream";
-    }
-
-    void
-    run(const PlanFacts &facts, AnalysisReport &report) const override
-    {
-        for (std::size_t li = 0; li < facts.plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = facts.plan.layers[li];
-            std::array<std::uint64_t, 8> recount{};
-            for (const HeInstr &instr : layer.instrs)
-                ++recount[static_cast<std::size_t>(instr.kind)];
-            for (std::size_t k = 0; k < recount.size(); ++k) {
-                const auto kind = static_cast<HeOpKind>(k);
-                if (layer.kindCount(kind) != recount[k]) {
-                    report.addLayer(
-                        Severity::error, name(), li, layer.name,
-                        "cached count for " +
-                            std::string(opName(kind)) + " is " +
-                            std::to_string(layer.kindCount(kind)) +
-                            " but the stream holds " +
-                            std::to_string(recount[k]),
-                        "call HeLayerPlan::classify() after editing "
-                        "the instruction stream");
-                    break; // one stale-cache finding per layer
-                }
-            }
-            // HeOpCounts cross-check: every instruction except copy
-            // maps onto exactly one paper operation class.
-            const std::uint64_t he_ops =
-                layer.instrs.size() -
-                recount[static_cast<std::size_t>(HeOpKind::copy)];
-            if (layer.counts().total() != he_ops) {
-                report.addLayer(
-                    Severity::error, name(), li, layer.name,
-                    "HeOpCounts total " +
-                        std::to_string(layer.counts().total()) +
-                        " does not match the " +
-                        std::to_string(he_ops) +
-                        " costed instructions in the stream",
-                    "call HeLayerPlan::classify() after editing the "
-                    "instruction stream");
-            }
-            // Keyswitch-decomposition model: rotation groups must
-            // tile the rotates exactly (a hoisted group of k rotates
-            // costs one digit decomposition at runtime; the telemetry
-            // counter ckks.keyswitch.decompositions is predicted from
-            // the same grouping).
-            const auto groups =
-                hecnn::findRotationGroups(layer.instrs);
-            std::uint64_t grouped = 0;
-            for (const auto &g : groups)
-                grouped += g.count;
-            if (grouped !=
-                recount[static_cast<std::size_t>(HeOpKind::rotate)]) {
-                report.addLayer(
-                    Severity::error, name(), li, layer.name,
-                    "rotation groups cover " + std::to_string(grouped) +
-                        " rotates but the stream holds " +
-                        std::to_string(recount[static_cast<std::size_t>(
-                            HeOpKind::rotate)]),
-                    "rotation-group detection and the instruction "
-                    "stream disagree; this is an internal lint bug");
-            }
-        }
-    }
-};
-
-// --- pass 7: NKS/KS classification -----------------------------------------
-
-class LayerClassPass final : public AnalysisPass
-{
-  public:
-    const char *name() const override { return "layer-class"; }
-    const char *
-    description() const override
-    {
-        return "NKS/KS layer classification (Sec. V-A)";
-    }
-
-    void
-    run(const PlanFacts &facts, AnalysisReport &report) const override
-    {
-        for (std::size_t li = 0; li < facts.plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = facts.plan.layers[li];
-            bool has_ks = false;
-            for (const HeInstr &instr : layer.instrs)
-                has_ks = has_ks || isKeySwitch(instr.kind);
-            const auto expected = has_ks ? hecnn::LayerClass::ks
-                                         : hecnn::LayerClass::nks;
-            if (layer.cls != expected) {
-                report.addLayer(
-                    Severity::error, name(), li, layer.name,
-                    std::string("layer is tagged ") +
-                        (layer.cls == hecnn::LayerClass::ks ? "KS"
-                                                            : "NKS") +
-                        " but its stream " +
-                        (has_ks ? "contains" : "contains no") +
-                        " KeySwitch operations",
-                    "call HeLayerPlan::classify() to recompute the "
-                    "class");
-            }
-            if (layer.nIn == 0) {
-                report.addLayer(
-                    Severity::warning, name(), li, layer.name,
-                    "layer declares zero input ciphertexts (nIn)",
-                    "the FPGA pipeline model clamps nIn to 1; fix "
-                    "the metadata");
-            }
-        }
-    }
-};
-
-// --- pass 8: static noise-budget certification -----------------------------
+// --- pass 6: static noise-budget certification -----------------------------
 
 class NoiseBudgetPass final : public AnalysisPass
 {
@@ -914,7 +798,7 @@ class NoiseBudgetPass final : public AnalysisPass
     }
 };
 
-// --- pass 9: rescale placement ---------------------------------------------
+// --- pass 7: rescale placement ---------------------------------------------
 
 class RescalePlacementPass final : public AnalysisPass
 {
@@ -1029,8 +913,8 @@ class RescalePlacementPass final : public AnalysisPass
                             "the adds would eliminate up to " +
                             std::to_string(deferrable) +
                             " rescale op(s)",
-                        "enable CompileOptions::rescaleWaterline for "
-                        "the certified rewrite");
+                        "run `fxhenn lint --rewrite 1` for the "
+                        "certified rewrite");
                 }
                 deferrable = 0;
                 return true;
@@ -1070,7 +954,7 @@ class RescalePlacementPass final : public AnalysisPass
     }
 };
 
-// --- pass 10: batch-layout consistency -------------------------------------
+// --- pass 8: batch-layout consistency --------------------------------------
 
 /**
  * Cross-request batching invariants. A plan with batchLanes = B > 1
@@ -1268,8 +1152,6 @@ PassManager::standard()
     pm.add(makeLivenessPass());
     pm.add(makeRotationKeyPass());
     pm.add(makeLayoutPass());
-    pm.add(makeOpCountPass());
-    pm.add(makeLayerClassPass());
     pm.add(makeNoiseBudgetPass());
     pm.add(makeRescalePlacementPass());
     pm.add(makeBatchLayoutPass());
@@ -1300,16 +1182,6 @@ std::unique_ptr<AnalysisPass>
 makeLayoutPass()
 {
     return std::make_unique<LayoutPass>();
-}
-std::unique_ptr<AnalysisPass>
-makeOpCountPass()
-{
-    return std::make_unique<OpCountPass>();
-}
-std::unique_ptr<AnalysisPass>
-makeLayerClassPass()
-{
-    return std::make_unique<LayerClassPass>();
 }
 std::unique_ptr<AnalysisPass>
 makeNoiseBudgetPass()

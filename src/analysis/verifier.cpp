@@ -2,7 +2,6 @@
 
 #include "src/analysis/pass_manager.hpp"
 #include "src/common/assert.hpp"
-#include "src/hecnn/plan_check.hpp"
 
 namespace fxhenn::analysis {
 
@@ -21,12 +20,6 @@ verifyPlanOrThrow(const hecnn::HeNetworkPlan &plan,
         return;
     throw ConfigError("plan verification failed (" + origin + "):\n" +
                       report.toText());
-}
-
-bool
-installPlanVerifier()
-{
-    return hecnn::setPlanVerifier(&verifyPlanOrThrow);
 }
 
 } // namespace fxhenn::analysis

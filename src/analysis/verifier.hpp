@@ -2,11 +2,10 @@
  * @file
  * Convenience entry points for the standard plan verification pipeline.
  *
- * Three call sites share this facade (docs/ARCHITECTURE.md Sec. 8):
+ * Two call sites share this facade (docs/ARCHITECTURE.md Sec. 8):
  *  - `fxhenn lint` renders the full report for the user;
- *  - plan_io::loadPlan (behind --verify-plan) and the compiler's
- *    debug-mode self-check call verifyPlanOrThrow() through the
- *    hecnn::plan_check hook so fxhenn_hecnn never links this library.
+ *  - `--verify-plan 1` calls verifyPlanOrThrow() on every plan the CLI
+ *    loads from disk, right after hecnn::loadPlan.
  */
 #ifndef FXHENN_ANALYSIS_VERIFIER_HPP
 #define FXHENN_ANALYSIS_VERIFIER_HPP
@@ -18,24 +17,17 @@
 
 namespace fxhenn::analysis {
 
-/** Run the standard 7-pass pipeline over @p plan. */
+/** Run the standard pipeline (PassManager::standard()) over @p plan. */
 AnalysisReport verifyPlan(const hecnn::HeNetworkPlan &plan);
 
 /**
  * Run the standard pipeline and throw ConfigError when it finds any
- * error-severity diagnostic. @p origin names the caller ("compile",
- * "plan-load", ...) and prefixes the exception message; the message
- * body is the full text report, so the failure is actionable.
+ * error-severity diagnostic. @p origin names the caller (for example
+ * "plan-load") and prefixes the exception message; the message body
+ * is the full text report, so the failure is actionable.
  */
 void verifyPlanOrThrow(const hecnn::HeNetworkPlan &plan,
                        const std::string &origin);
-
-/**
- * Register verifyPlanOrThrow() as the process-wide plan verifier used
- * by hecnn::runPlanVerifier() (compiler self-check, --verify-plan
- * loads). Idempotent; returns true on first installation.
- */
-bool installPlanVerifier();
 
 } // namespace fxhenn::analysis
 

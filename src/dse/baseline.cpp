@@ -19,7 +19,7 @@ using fpga::ModuleAllocation;
  * independently per layer.
  */
 ModuleAllocation
-allocateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+allocateLayer(const fpga::LayerWork &layer, std::uint64_t n,
               double dspBudget, double bramBudget)
 {
     // The DSP budget is a hard constraint; buffers that exceed the
@@ -67,6 +67,7 @@ allocateBaseline(const hecnn::HeNetworkPlan &plan,
 {
     FXHENN_FATAL_IF(plan.layers.empty(), "empty plan");
     const std::size_t layers = plan.layers.size();
+    const std::vector<fpga::LayerWork> work = fpga::summarizeLayers(plan);
     const double bram_cap =
         device.effectiveBramBlocks(plan.params.n / 4);
 
@@ -78,7 +79,7 @@ allocateBaseline(const hecnn::HeNetworkPlan &plan,
     // baseline to be slow).
     std::vector<double> weight;
     double total = 0.0;
-    for (const auto &layer : plan.layers) {
+    for (const auto &layer : work) {
         const double w = std::max(
             fpga::layerModMuls(layer, plan.params.n), 1.0);
         weight.push_back(w);
@@ -96,7 +97,7 @@ allocateBaseline(const hecnn::HeNetworkPlan &plan,
         ModuleAllocation floor_alloc;
         for (auto &op : floor_alloc.ops)
             op = {2, 1, 1};
-        min_dsp[i] = fpga::evaluateLayer(plan.layers[i], plan.params.n,
+        min_dsp[i] = fpga::evaluateLayer(work[i], plan.params.n,
                                          floor_alloc)
                          .dsp;
         min_dsp_total += min_dsp[i];
@@ -111,12 +112,12 @@ allocateBaseline(const hecnn::HeNetworkPlan &plan,
     for (std::size_t i = 0; i < layers; ++i) {
         limits.push_back(weight[i] * bram_cap);
         result.perLayer.push_back(allocateLayer(
-            plan.layers[i], plan.params.n,
+            work[i], plan.params.n,
             min_dsp[i] + weight[i] * spare_dsp, limits.back()));
     }
     result.bramLimits = limits;
-    result.perf =
-        fpga::evaluateNetworkDedicated(plan, result.perLayer, &limits);
+    result.perf = fpga::evaluateNetworkDedicated(work, plan.params.n,
+                                                 result.perLayer, &limits);
     result.latencySeconds = device.seconds(result.perf.totalCycles);
     return result;
 }

@@ -110,8 +110,9 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
         pairChoices(options.elementwiseIntra, options.elementwiseInter);
     const auto ntt_pairs = pairChoices(ntt_intra, ntt_inter);
 
-    // Per-layer peak live-register counts, solved once for the whole
-    // search (the bound is allocation-independent).
+    // Per-layer op counts and peak live-register counts, solved once
+    // for the whole search (both are allocation-independent).
+    const std::vector<fpga::LayerWork> work = fpga::summarizeLayers(plan);
     std::vector<unsigned> peak_live;
     if (options.livenessBuffers)
         peak_live = analysis::computeLiveness(plan).peakLive;
@@ -138,9 +139,8 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
                     alloc[HeOpModule::rescale] = {nc, rs_a, rs_b};
                     alloc[HeOpModule::keySwitch] = {nc, ks_a, ks_b};
 
-                    const auto perf =
-                        fpga::evaluateNetworkShared(plan, alloc,
-                                                    peaks);
+                    const auto perf = fpga::evaluateNetworkShared(
+                        work, plan.params.n, alloc, peaks);
 
                     const double bram_cap =
                         options.bramBudgetBlocks
@@ -204,7 +204,7 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
             row.layer = plan.layers[i].name;
             row.predictedCycles = result.best->perf.layers[i].cycles;
             row.simulatedCycles = fpga::simulateLayer(
-                plan.layers[i], plan.params.n, result.best->alloc);
+                work[i], plan.params.n, result.best->alloc);
             if (row.predictedCycles > 0.0)
                 row.errorFrac = std::abs(row.simulatedCycles -
                                          row.predictedCycles) /

@@ -227,12 +227,12 @@ InferenceEngine::runGroupWithRetry(
 
 void
 InferenceEngine::recordBatch(std::size_t liveMembers,
-                             double windowWaitSeconds)
+                             double windowWaitSeconds,
+                             std::uint64_t groupOps)
 {
     // A group of one is unbatched serving, not a batch.
-    if (lanes_ == 1)
-        return;
-    if (telemetry::enabled()) {
+    const bool batched = lanes_ > 1;
+    if (batched && telemetry::enabled()) {
         telemetry::histogram("engine.batch.size")
             .record(static_cast<std::uint64_t>(liveMembers));
         // Recorded as a percentage: 100 = every lane carries a
@@ -245,6 +245,9 @@ InferenceEngine::recordBatch(std::size_t liveMembers,
                                                1e9));
     }
     std::scoped_lock lock(statsMutex_);
+    stats_.opsExecuted += groupOps;
+    if (!batched)
+        return;
     stats_.batchesExecuted += 1;
     batchOccupancySum_ += double(liveMembers);
     stats_.meanBatchOccupancy =
@@ -379,7 +382,8 @@ InferenceEngine::runBatch(const std::vector<nn::Tensor> &inputs,
         Timer latency;
         auto groupOutcomes = runGroupWithRetry(members, indices, deadline);
         const double serviceSeconds = latency.elapsedSeconds();
-        recordBatch(members.size(), 0.0);
+        recordBatch(members.size(), 0.0,
+                    groupOutcomes.front().opsExecuted);
         for (std::size_t j = 0; j < positions.size(); ++j) {
             outcomes[positions[j]] = std::move(groupOutcomes[j]);
             recordExecuted(outcomes[positions[j]], 0.0, serviceSeconds);
@@ -610,7 +614,8 @@ InferenceEngine::workerRunWindow(Job head)
     Timer service;
     auto outcomes = runGroupWithRetry(members, indices, deadline);
     const double serviceSeconds = service.elapsedSeconds();
-    recordBatch(members.size(), windowWait);
+    recordBatch(members.size(), windowWait,
+                outcomes.front().opsExecuted);
     for (std::size_t j = 0; j < live.size(); ++j) {
         Job &member = window[live[j]];
         const double queueWait =

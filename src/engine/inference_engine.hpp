@@ -163,6 +163,10 @@ struct EngineStats
     double lastBatchRequestsPerSecond = 0.0;
     /** Batched ciphertext runs executed (batchLanes > 1 groups). */
     std::uint64_t batchesExecuted = 0;
+    /** HE ops executed, each group's shared run counted once (every
+     *  member's InferOutcome::opsExecuted carries the whole group's
+     *  count, so summing outcomes overcounts by the occupancy). */
+    std::uint64_t opsExecuted = 0;
     /** Mean live members per executed batch (slot-fill quality). */
     double meanBatchOccupancy = 0.0;
 };
@@ -276,10 +280,11 @@ class InferenceEngine
         const std::vector<std::uint64_t> &indices,
         const std::optional<Clock::time_point> &deadline);
 
-    /** Batch telemetry + occupancy stats for one executed group
-     *  (B > 1 only: a group of one is not a batch). */
-    void recordBatch(std::size_t liveMembers,
-                     double windowWaitSeconds);
+    /** Op total, batch telemetry and occupancy stats for one executed
+     *  group (the batch part at B > 1 only: a group of one is not a
+     *  batch). @p groupOps is the group's shared op count. */
+    void recordBatch(std::size_t liveMembers, double windowWaitSeconds,
+                     std::uint64_t groupOps);
 
     /** Structured never-executed outcome (shed / expired / breaker). */
     static hecnn::InferOutcome rejectOutcome(const char *op,

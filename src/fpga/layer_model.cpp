@@ -6,38 +6,50 @@
 
 namespace fxhenn::fpga {
 
+LayerWork
+summarizeLayer(const hecnn::HeLayerPlan &layer)
+{
+    LayerWork work;
+    work.name = layer.name;
+    work.levelIn = layer.levelIn;
+    work.nIn = layer.nIn;
+    for (const auto &instr : layer.instrs) {
+        if (instr.kind == hecnn::HeOpKind::copy)
+            continue; // a register move, no hardware module
+        const auto m = static_cast<std::size_t>(moduleOf(instr.kind));
+        if (work.ops[m]++ == 0)
+            work.order.push_back(static_cast<HeOpModule>(m));
+    }
+    return work;
+}
+
+std::vector<LayerWork>
+summarizeLayers(const hecnn::HeNetworkPlan &plan)
+{
+    std::vector<LayerWork> work;
+    work.reserve(plan.layers.size());
+    for (const auto &layer : plan.layers)
+        work.push_back(summarizeLayer(layer));
+    return work;
+}
+
 std::array<bool, kOpModuleCount>
-modulesUsed(const hecnn::HeLayerPlan &layer)
+modulesUsed(const LayerWork &layer)
 {
     std::array<bool, kOpModuleCount> used{};
     for (std::size_t i = 0; i < kOpModuleCount; ++i)
-        used[i] = opCount(layer, static_cast<HeOpModule>(i)) > 0;
+        used[i] = layer.ops[i] > 0;
     return used;
 }
 
 std::uint64_t
-opCount(const hecnn::HeLayerPlan &layer, HeOpModule op)
+opCount(const LayerWork &layer, HeOpModule op)
 {
-    using hecnn::HeOpKind;
-    switch (op) {
-      case HeOpModule::ccAdd:
-        return layer.kindCount(HeOpKind::ccAdd) +
-               layer.kindCount(HeOpKind::pcAdd);
-      case HeOpModule::pcMult:
-        return layer.kindCount(HeOpKind::pcMult);
-      case HeOpModule::ccMult:
-        return layer.kindCount(HeOpKind::ccMult);
-      case HeOpModule::rescale:
-        return layer.kindCount(HeOpKind::rescale);
-      case HeOpModule::keySwitch:
-        return layer.kindCount(HeOpKind::relinearize) +
-               layer.kindCount(HeOpKind::rotate);
-    }
-    return 0;
+    return layer.ops[static_cast<std::size_t>(op)];
 }
 
 double
-layerModMuls(const hecnn::HeLayerPlan &layer, std::uint64_t n)
+layerModMuls(const LayerWork &layer, std::uint64_t n)
 {
     const RingView ring{n, layer.levelIn};
     double total = 0.0;
@@ -50,7 +62,7 @@ layerModMuls(const hecnn::HeLayerPlan &layer, std::uint64_t n)
 }
 
 LayerPerf
-evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+evaluateLayer(const LayerWork &layer, std::uint64_t n,
               const ModuleAllocation &alloc, double bramLimit,
               unsigned peakLiveRegs)
 {
@@ -245,20 +257,19 @@ allocatedLut(const ModuleAllocation &alloc,
 } // namespace
 
 NetworkPerf
-evaluateNetworkShared(const hecnn::HeNetworkPlan &plan,
-                      const ModuleAllocation &alloc,
+evaluateNetworkShared(const std::vector<LayerWork> &layers,
+                      std::uint64_t n, const ModuleAllocation &alloc,
                       const std::vector<unsigned> *peakLive)
 {
     FXHENN_FATAL_IF(peakLive != nullptr &&
-                        peakLive->size() != plan.layers.size(),
+                        peakLive->size() != layers.size(),
                     "one peak-live count per layer required");
     NetworkPerf perf;
     std::array<bool, kOpModuleCount> any_used{};
-    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
-        const auto &layer = plan.layers[i];
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const auto &layer = layers[i];
         const unsigned peak = peakLive ? (*peakLive)[i] : 0;
-        LayerPerf lp = evaluateLayer(layer, plan.params.n, alloc,
-                                     -1.0, peak);
+        LayerPerf lp = evaluateLayer(layer, n, alloc, -1.0, peak);
         perf.totalCycles += lp.cycles;
         perf.dspAggregate += lp.dsp;
         perf.bramAggregate += lp.bramBlocks;
@@ -274,21 +285,21 @@ evaluateNetworkShared(const hecnn::HeNetworkPlan &plan,
 }
 
 NetworkPerf
-evaluateNetworkDedicated(const hecnn::HeNetworkPlan &plan,
+evaluateNetworkDedicated(const std::vector<LayerWork> &layers,
+                         std::uint64_t n,
                          const std::vector<ModuleAllocation> &perLayer,
                          const std::vector<double> *bramLimits)
 {
-    FXHENN_FATAL_IF(perLayer.size() != plan.layers.size(),
+    FXHENN_FATAL_IF(perLayer.size() != layers.size(),
                     "one allocation per layer required");
     FXHENN_FATAL_IF(bramLimits != nullptr &&
-                        bramLimits->size() != plan.layers.size(),
+                        bramLimits->size() != layers.size(),
                     "one BRAM limit per layer required");
     NetworkPerf perf;
-    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+    for (std::size_t i = 0; i < layers.size(); ++i) {
         const double limit =
             bramLimits ? (*bramLimits)[i] : -1.0;
-        LayerPerf lp = evaluateLayer(plan.layers[i], plan.params.n,
-                                     perLayer[i], limit);
+        LayerPerf lp = evaluateLayer(layers[i], n, perLayer[i], limit);
         perf.totalCycles += lp.cycles;
         perf.dspAggregate += lp.dsp;
         perf.bramAggregate += lp.bramBlocks;

@@ -15,6 +15,7 @@
 #define FXHENN_FPGA_LAYER_MODEL_HPP
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "src/fpga/device.hpp"
@@ -39,6 +40,29 @@ struct ModuleAllocation
         return ops[static_cast<std::size_t>(op)];
     }
 };
+
+/**
+ * What the model reads of one compiled layer (Eqs. 1-3): its level,
+ * N_in, per-module op counts, and the order in which the modules first
+ * appear in the program (the pipeline stage order). summarizeLayer()
+ * builds it in one pass over the stream; nothing else in the model
+ * walks instructions, so a search over many allocations counts each
+ * layer once.
+ */
+struct LayerWork
+{
+    std::string name;
+    std::size_t levelIn = 0; ///< ciphertext level at layer entry
+    std::size_t nIn = 0;     ///< independent input ciphertexts
+    std::array<std::uint64_t, kOpModuleCount> ops{}; ///< by module
+    std::vector<HeOpModule> order; ///< modules in first-use order
+};
+
+/** Summarize @p layer (one pass over its instructions). */
+LayerWork summarizeLayer(const hecnn::HeLayerPlan &layer);
+
+/** summarizeLayer() of every layer of @p plan, in order. */
+std::vector<LayerWork> summarizeLayers(const hecnn::HeNetworkPlan &plan);
 
 /** Per-layer evaluation result. */
 struct LayerPerf
@@ -66,7 +90,7 @@ struct NetworkPerf
 /**
  * Evaluate one layer under @p alloc.
  *
- * @param layer     compiled layer plan (op counts, level, N_in)
+ * @param layer     layer summary (op counts, level, N_in)
  * @param n         ring degree
  * @param alloc     module allocation visible to this layer
  * @param bramLimit on-chip blocks available to this layer: negative
@@ -82,7 +106,7 @@ struct NetworkPerf
  *                  more than k resident stream buffers — which only
  *                  ever lowers the BRAM demand.
  */
-LayerPerf evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+LayerPerf evaluateLayer(const LayerWork &layer, std::uint64_t n,
                         const ModuleAllocation &alloc,
                         double bramLimit = -1.0,
                         unsigned peakLiveRegs = 0);
@@ -97,7 +121,8 @@ LayerPerf evaluateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
  *                 bound.
  */
 NetworkPerf evaluateNetworkShared(
-    const hecnn::HeNetworkPlan &plan, const ModuleAllocation &alloc,
+    const std::vector<LayerWork> &layers, std::uint64_t n,
+    const ModuleAllocation &alloc,
     const std::vector<unsigned> *peakLive = nullptr);
 
 /**
@@ -107,19 +132,18 @@ NetworkPerf evaluateNetworkShared(
  * @param bramLimits optional per-layer on-chip budget (spill applies)
  */
 NetworkPerf evaluateNetworkDedicated(
-    const hecnn::HeNetworkPlan &plan,
+    const std::vector<LayerWork> &layers, std::uint64_t n,
     const std::vector<ModuleAllocation> &perLayer,
     const std::vector<double> *bramLimits = nullptr);
 
 /** Which module classes a layer actually invokes. */
-std::array<bool, kOpModuleCount> modulesUsed(
-    const hecnn::HeLayerPlan &layer);
+std::array<bool, kOpModuleCount> modulesUsed(const LayerWork &layer);
 
 /** Operation count of @p layer for module class @p op. */
-std::uint64_t opCount(const hecnn::HeLayerPlan &layer, HeOpModule op);
+std::uint64_t opCount(const LayerWork &layer, HeOpModule op);
 
 /** Total modular multiplications of a layer ("MACs of HOPs"). */
-double layerModMuls(const hecnn::HeLayerPlan &layer, std::uint64_t n);
+double layerModMuls(const LayerWork &layer, std::uint64_t n);
 
 } // namespace fxhenn::fpga
 

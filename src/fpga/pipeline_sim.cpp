@@ -48,31 +48,18 @@ simulateSerial(std::size_t items, const std::vector<SimStage> &stages)
 }
 
 std::vector<SimStage>
-layerStages(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+layerStages(const LayerWork &layer, std::uint64_t n,
             const ModuleAllocation &alloc)
 {
     const RingView ring{n, layer.levelIn};
     const std::size_t items = std::max<std::size_t>(layer.nIn, 1);
 
-    // Module classes in first-appearance (program) order.
-    std::vector<HeOpModule> order;
-    std::array<std::uint64_t, kOpModuleCount> counts{};
-    for (const auto &instr : layer.instrs) {
-        if (instr.kind == hecnn::HeOpKind::copy)
-            continue;
-        const HeOpModule op = moduleOf(instr.kind);
-        if (counts[static_cast<std::size_t>(op)] == 0)
-            order.push_back(op);
-        ++counts[static_cast<std::size_t>(op)];
-    }
-
     std::vector<SimStage> stages;
-    stages.reserve(order.size());
-    for (HeOpModule op : order) {
+    stages.reserve(layer.order.size());
+    for (HeOpModule op : layer.order) {
         const OpAllocation &oa = alloc[op];
-        const double per_item =
-            static_cast<double>(counts[static_cast<std::size_t>(op)]) /
-            static_cast<double>(items);
+        const double per_item = static_cast<double>(opCount(layer, op)) /
+                                static_cast<double>(items);
         SimStage stage;
         stage.serviceCycles =
             pipelineIntervalCycles(op, ring, oa) * per_item;
@@ -83,7 +70,7 @@ layerStages(const hecnn::HeLayerPlan &layer, std::uint64_t n,
 }
 
 double
-simulateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+simulateLayer(const LayerWork &layer, std::uint64_t n,
               const ModuleAllocation &alloc)
 {
     const std::size_t items = std::max<std::size_t>(layer.nIn, 1);

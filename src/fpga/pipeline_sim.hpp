@@ -50,12 +50,11 @@ double simulateSerial(std::size_t items,
  * per module class in program order, with per-item service equal to
  * the op's pipeline interval times its per-item multiplicity.
  */
-std::vector<SimStage> layerStages(const hecnn::HeLayerPlan &layer,
-                                  std::uint64_t n,
+std::vector<SimStage> layerStages(const LayerWork &layer, std::uint64_t n,
                                   const ModuleAllocation &alloc);
 
 /** Event-driven latency estimate for one layer (cycles). */
-double simulateLayer(const hecnn::HeLayerPlan &layer, std::uint64_t n,
+double simulateLayer(const LayerWork &layer, std::uint64_t n,
                      const ModuleAllocation &alloc);
 
 } // namespace fxhenn::fpga

@@ -82,7 +82,7 @@ renderDesignReport(const DesignSolution &solution,
         const auto &lp = perf.layers[i];
         const auto &layer = solution.plan.layers[i];
         md << "| " << lp.name << " | "
-           << (layer.cls == hecnn::LayerClass::ks ? "KS" : "NKS")
+           << (layer.cls() == hecnn::LayerClass::ks ? "KS" : "NKS")
            << " | " << fixed(device.seconds(lp.cycles), 4) << " | "
            << fixed(100.0 * lp.cycles / perf.totalCycles, 1) << " % | "
            << fpga::moduleName(lp.bottleneck) << " | " << lp.dsp

@@ -6,9 +6,6 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/math_util.hpp"
-#include "src/hecnn/noise_cert.hpp"
-#include "src/hecnn/plan_check.hpp"
-#include "src/hecnn/rescale_rewriter.hpp"
 
 namespace fxhenn::hecnn {
 
@@ -186,7 +183,6 @@ class PlanBuilder
     {
         lp.levelOut = level_;
         lp.outputLayout = layout;
-        lp.classify();
         layout_ = std::move(layout);
     }
 
@@ -921,7 +917,6 @@ applyBatchStride(HeNetworkPlan &plan, std::size_t lanes)
                     instr.step * static_cast<std::int32_t>(lanes));
         }
         stretchLayout(layer.outputLayout, lanes);
-        layer.classify();
     }
     stretchLayout(plan.outputLayout, lanes);
     plan.batchLanes = lanes;
@@ -955,23 +950,6 @@ compile(const nn::Network &net, const ckks::CkksParams &params,
     PlanBuilder builder(net, params, options);
     HeNetworkPlan plan = builder.build();
     applyBatchStride(plan, lanes);
-    if (options.rescaleWaterline)
-        rewriteRescales(plan); // certified: no-op unless provably safe
-    if (options.selfCheck)
-        runPlanVerifier(plan, "compile");
-    if (options.certifyNoise) {
-        const NoiseCertificate cert = certifyPlan(plan);
-        FXHENN_FATAL_IF(!cert.valid,
-                        "compile: noise certification failed for '" +
-                            plan.name + "': " + cert.invalidReason);
-        FXHENN_FATAL_IF(
-            !cert.certified(),
-            "compile: plan '" + plan.name +
-                "' is not noise-safe: certified minimum headroom " +
-                std::to_string(cert.minHeadroomBits) +
-                " bits is negative (the message can overflow the "
-                "modulus; use more levels or wider primes)");
-    }
     return plan;
 }
 

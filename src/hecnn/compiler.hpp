@@ -73,41 +73,6 @@ struct CompileOptions
     bool decomposeRotations = false;
 
     /**
-     * Run the plan verifier over the lowered plan before returning it
-     * (a miscompile becomes a ConfigError at the compiler's doorstep
-     * instead of garbage at decrypt time). Defaults to on in debug
-     * builds; a no-op when no verifier is linked in — see
-     * plan_check.hpp.
-     */
-#ifdef NDEBUG
-    bool selfCheck = false;
-#else
-    bool selfCheck = true;
-#endif
-
-    /**
-     * Re-place rescales with the certified waterline rewriter
-     * (rescale_rewriter.hpp): sink each eager per-tap rescale to its
-     * first use and merge deferred rescales at accumulation adds. The
-     * rewrite is applied only when the static noise certifier proves
-     * the rewritten plan's minimum headroom is no worse and the
-     * rescale count strictly drops; otherwise the plan is unchanged.
-     */
-    bool rescaleWaterline = false;
-
-    /**
-     * Run the static noise-budget certifier (noise_cert.hpp) over the
-     * lowered plan and refuse (ConfigError) any plan whose certified
-     * minimum headroom is negative — i.e. a plan that can overflow the
-     * modulus for an in-spec input. Same default policy as selfCheck.
-     */
-#ifdef NDEBUG
-    bool certifyNoise = false;
-#else
-    bool certifyNoise = true;
-#endif
-
-    /**
      * Cross-request slot batching factor B: compile the network into
      * (N/2)/B virtual slots per request and interleave B independent
      * requests lane-wise in shared ciphertexts (request b's virtual
@@ -132,7 +97,11 @@ struct CompileOptions
     MatVecLowering matVec = MatVecLowering::costModel;
 };
 
-/** Lower @p net under CKKS parameters @p params. */
+/**
+ * Lower @p net under CKKS parameters @p params. Pure lowering, the same
+ * in every build type: callers that need a verdict on the result run
+ * analysis::verifyPlan and certifyPlan (noise_cert.hpp) themselves.
+ */
 HeNetworkPlan compile(const nn::Network &net,
                       const ckks::CkksParams &params,
                       const CompileOptions &options = {});

@@ -42,44 +42,36 @@ SlotLayout::isContiguousSingleReg() const
     return true;
 }
 
-std::uint64_t
-HeLayerPlan::kindCount(HeOpKind kind) const
-{
-    if (counted_)
-        return kindCounts_[static_cast<std::size_t>(kind)];
-    // A plan built by hand (or mutated) without calling classify():
-    // recount instead of reporting zeros, but into a local — writing
-    // the member here would data-race once two executors share the
-    // plan. cls stays untouched on this path by design.
-    std::uint64_t n = 0;
-    for (const auto &instr : instrs) {
-        if (instr.kind == kind)
-            ++n;
-    }
-    return n;
-}
-
 HeOpCounts
 HeLayerPlan::counts() const
 {
     HeOpCounts c;
-    c.ccAdd = kindCount(HeOpKind::ccAdd) + kindCount(HeOpKind::pcAdd);
-    c.pcMult = kindCount(HeOpKind::pcMult);
-    c.ccMult = kindCount(HeOpKind::ccMult);
-    c.rescale = kindCount(HeOpKind::rescale);
-    c.relin = kindCount(HeOpKind::relinearize);
-    c.rotate = kindCount(HeOpKind::rotate);
+    for (const auto &instr : instrs) {
+        switch (instr.kind) {
+          case HeOpKind::ccAdd:
+          case HeOpKind::pcAdd:
+            ++c.ccAdd;
+            break;
+          case HeOpKind::pcMult:
+            ++c.pcMult;
+            break;
+          case HeOpKind::ccMult:
+            ++c.ccMult;
+            break;
+          case HeOpKind::rescale:
+            ++c.rescale;
+            break;
+          case HeOpKind::relinearize:
+            ++c.relin;
+            break;
+          case HeOpKind::rotate:
+            ++c.rotate;
+            break;
+          case HeOpKind::copy:
+            break;
+        }
+    }
     return c;
-}
-
-void
-HeLayerPlan::classify()
-{
-    kindCounts_ = {};
-    for (const auto &instr : instrs)
-        ++kindCounts_[static_cast<std::size_t>(instr.kind)];
-    counted_ = true;
-    cls = counts().keySwitch() > 0 ? LayerClass::ks : LayerClass::nks;
 }
 
 HeOpCounts

@@ -13,7 +13,6 @@
 #ifndef FXHENN_HECNN_PLAN_HPP
 #define FXHENN_HECNN_PLAN_HPP
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -87,36 +86,21 @@ struct HeOpCounts
 struct HeLayerPlan
 {
     std::string name;
-    LayerClass cls = LayerClass::nks;
     std::size_t levelIn = 0;  ///< ciphertext level at layer entry
     std::size_t levelOut = 0; ///< level after the layer
     std::size_t nIn = 0;      ///< independent input ciphertext count
     std::vector<HeInstr> instrs;
     SlotLayout outputLayout;
 
-    /** Count instructions by paper operation class. */
+    /** Count instructions by paper operation class (one pass over
+     *  the stream; nothing is cached, so edits need no bookkeeping). */
     HeOpCounts counts() const;
 
-    /**
-     * Instructions of one opcode. O(1) once classify() (called by the
-     * compiler and the plan loader) has populated the cache; a plan
-     * built by hand without classify() recounts on every call instead
-     * of silently returning zeros. Neither path mutates the layer, so
-     * concurrent readers sharing one plan are safe; the uncached path
-     * never touches cls, so a stale KS/NKS class is still observable
-     * (and diagnosed by the layer-class verifier pass).
-     */
-    std::uint64_t kindCount(HeOpKind kind) const;
-
-    /** Cache the opcode counts and set the KS/NKS class (Sec. V-A). */
-    void classify();
-
-  private:
-    /** Opcode-count cache, populated only by classify() so that
-     *  kindCount() stays const in the strict sense — executors share
-     *  plans read-only across threads. */
-    std::array<std::uint64_t, 8> kindCounts_{};
-    bool counted_ = false;
+    /** KS/NKS class (Sec. V-A): KS iff the layer key-switches. */
+    LayerClass cls() const
+    {
+        return counts().keySwitch() > 0 ? LayerClass::ks : LayerClass::nks;
+    }
 };
 
 /** A full compiled network. */

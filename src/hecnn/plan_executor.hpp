@@ -119,7 +119,8 @@ struct InferOutcome
     std::optional<robustness::FailureReport> failure;
     /** Predicted per-layer noise-budget trajectory. */
     std::vector<robustness::BudgetSample> budget;
-    /** HE ops the evaluator executed for this request. */
+    /** HE ops the evaluator executed for this request's run (in a
+     *  batched group, the whole group's shared run). */
     std::uint64_t opsExecuted = 0;
 
     bool degraded() const { return failure.has_value(); }

@@ -10,7 +10,6 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/crc32.hpp"
-#include "src/hecnn/plan_check.hpp"
 #include "src/robustness/fault_injection.hpp"
 
 namespace fxhenn::hecnn {
@@ -302,7 +301,6 @@ loadPlan(std::istream &stream)
                             layer.levelIn > plan.params.levels ||
                             layer.levelOut > layer.levelIn,
                         "corrupt layer levels");
-        layer.classify();
         plan.layers.push_back(std::move(layer));
     }
 
@@ -340,12 +338,6 @@ loadPlan(std::istream &stream)
                                 plan.plaintexts.size()),
                 "instruction plaintext out of range");
         }
-    }
-    if (loadVerificationEnabled()) {
-        FXHENN_FATAL_IF(!planVerifierInstalled(),
-                        "--verify-plan requested but no plan verifier "
-                        "is linked into this binary");
-        runPlanVerifier(plan, "plan-load");
     }
     return plan;
 }

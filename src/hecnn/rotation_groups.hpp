@@ -7,10 +7,10 @@
  * hoisted keyswitch (Halevi-Shoup): the expensive digit decomposition
  * of the shared c1 happens once and every member reuses it through its
  * own Galois permutation. The PlanExecutor uses the groups to dispatch
- * Evaluator::rotateHoisted; the lint OpCountPass uses the same
- * function so its predicted decomposition count matches what the
- * runtime reports (a group of k rotations costs 1 decomposition, not
- * k).
+ * Evaluator::rotateHoisted, and countHoistedDecompositions() predicts
+ * from the same grouping, so the predicted decomposition count matches
+ * what the runtime reports (a group of k rotations costs 1
+ * decomposition, not k).
  */
 #ifndef FXHENN_HECNN_ROTATION_GROUPS_HPP
 #define FXHENN_HECNN_ROTATION_GROUPS_HPP

@@ -14,7 +14,7 @@ layerStats(const HeNetworkPlan &plan)
     std::vector<LayerStats> rows;
     rows.reserve(plan.layers.size());
     for (const auto &layer : plan.layers) {
-        rows.push_back(LayerStats{layer.name, layer.cls, layer.nIn,
+        rows.push_back(LayerStats{layer.name, layer.cls(), layer.nIn,
                                   layer.levelIn, layer.counts()});
     }
     return rows;

@@ -47,7 +47,6 @@ tinyPlan()
     layer.instrs.push_back({HeOpKind::rescale, 1, 1, -1, 0});
     layer.outputLayout.pos.emplace_back(1, 0);
     layer.outputLayout.regs.push_back(1);
-    layer.classify();
     plan.layers.push_back(std::move(layer));
 
     plan.outputLayout = plan.layers.back().outputLayout;

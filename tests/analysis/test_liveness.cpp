@@ -25,7 +25,6 @@ TEST(Liveness, FlagsResultThatNeverReachesOutput)
     auto plan = tinyPlan();
     // r2 = r1 * pt0 is computed and never read again.
     plan.layers[0].instrs.push_back({HeOpKind::pcMult, 2, 1, 0, 0});
-    plan.layers[0].classify();
     const auto info = computeLiveness(plan);
     ASSERT_EQ(info.deadInstrs.size(), 1u);
     EXPECT_EQ(info.deadInstrs[0].layer, 0u);
@@ -40,7 +39,6 @@ TEST(Liveness, OnlyLastDeadWriteOfChainIsReported)
     // deleting it exposes the next dead write on a re-run.
     plan.layers[0].instrs.push_back({HeOpKind::pcMult, 2, 1, 0, 0});
     plan.layers[0].instrs.push_back({HeOpKind::rotate, 2, 2, -1, 1});
-    plan.layers[0].classify();
     const auto info = computeLiveness(plan);
     ASSERT_EQ(info.deadInstrs.size(), 1u);
     EXPECT_EQ(info.deadInstrs[0].instr, 3u);
@@ -59,7 +57,6 @@ TEST(Liveness, PeakCountsSimultaneouslyLiveRegisters)
     layer.levelOut = layer.levelIn;
     layer.outputLayout.pos.assign({{2, 0}});
     layer.outputLayout.regs.assign({2});
-    layer.classify();
     plan.outputLayout = layer.outputLayout;
     const auto info = computeLiveness(plan);
     EXPECT_GE(info.peakLiveOverall, 2u);
@@ -86,7 +83,6 @@ TEST(Liveness, ToleratesOutOfRangeRegisters)
 {
     auto plan = tinyPlan();
     plan.layers[0].instrs.push_back({HeOpKind::copy, 99, -7, -1, 0});
-    plan.layers[0].classify();
     const auto info = computeLiveness(plan); // must not crash
     EXPECT_GE(info.peakLiveOverall, 1u);
 }

@@ -36,7 +36,6 @@ hotPlan()
     layer.instrs.clear();
     layer.instrs.push_back({HeOpKind::pcMult, 1, 0, 0, 0});
     layer.instrs.push_back({HeOpKind::pcMult, 1, 1, 0, 0});
-    layer.classify();
     return plan;
 }
 
@@ -90,7 +89,6 @@ TEST(RescalePlacementPass, FlagsMissingRescaleBeforeSecondMultiply)
     layer.instrs.clear();
     layer.instrs.push_back({HeOpKind::pcMult, 1, 0, 0, 0});
     layer.instrs.push_back({HeOpKind::pcMult, 2, 1, 0, 0});
-    layer.classify();
 
     const auto report = runPass(makeRescalePlacementPass(), plan);
     EXPECT_EQ(report.count(Severity::warning), 1u);
@@ -105,7 +103,6 @@ TEST(RescalePlacementPass, FlagsRescaleResultOverwrittenUnread)
     layer.instrs.push_back({HeOpKind::pcMult, 1, 0, 0, 0});
     layer.instrs.push_back({HeOpKind::rescale, 1, 1, -1, 0});
     layer.instrs.push_back({HeOpKind::copy, 1, 0, -1, 0});
-    layer.classify();
 
     const auto report = runPass(makeRescalePlacementPass(), plan);
     EXPECT_EQ(report.count(Severity::warning), 1u);
@@ -122,7 +119,6 @@ TEST(RescalePlacementPass, NotesDeferrableRescalesAtAlignedAdds)
     layer.instrs.push_back({HeOpKind::pcMult, 2, 0, 0, 0});
     layer.instrs.push_back({HeOpKind::rescale, 2, 2, -1, 0});
     layer.instrs.push_back({HeOpKind::ccAdd, 1, 2, -1, 0});
-    layer.classify();
 
     const auto report = runPass(makeRescalePlacementPass(), plan);
     EXPECT_EQ(report.count(Severity::warning), 0u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/analysis/pass_manager.hpp"
 #include "tests/analysis/plan_fixtures.hpp"
 
@@ -18,13 +21,17 @@ TEST(Passes, TinyPlanIsCleanUnderTheFullPipeline)
     EXPECT_EQ(report.warningCount(), 0u) << report.toText();
 }
 
-TEST(Passes, StandardPipelineHasTenPasses)
+TEST(Passes, StandardPipelineHasEightPasses)
 {
     const auto pm = PassManager::standard();
-    EXPECT_EQ(pm.passes().size(), 10u);
-    for (const auto &pass : pm.passes()) {
-        EXPECT_NE(pass->name()[0], '\0');
-        EXPECT_NE(pass->description()[0], '\0');
+    const std::vector<std::string> expected{
+        "def-use",       "scale-level", "liveness",
+        "rotation-keys", "slot-layout", "noise-budget",
+        "rescale-placement", "batch-layout"};
+    ASSERT_EQ(pm.passes().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(pm.passes()[i]->name(), expected[i]);
+        EXPECT_NE(pm.passes()[i]->description()[0], '\0');
     }
 }
 
@@ -156,7 +163,6 @@ TEST(ScaleLevelPass, FlagsBrokenLevelChainBetweenLayers)
     next.instrs.push_back({HeOpKind::copy, 2, 1, -1, 0});
     next.outputLayout.pos.assign({{2, 0}});
     next.outputLayout.regs.assign({2});
-    next.classify();
     plan.layers.push_back(std::move(next));
     plan.outputLayout = plan.layers.back().outputLayout;
     const auto report = runPass(makeScaleLevelPass(), plan);
@@ -284,60 +290,17 @@ TEST(LayoutPass, WarnsOnStrayPlaintextOperand)
     EXPECT_TRUE(hasMessage(report, "stray plaintext operand"));
 }
 
-// --- pass 6: op counts -----------------------------------------------------
-
-TEST(OpCountPass, FlagsStaleKindCountCache)
-{
-    auto plan = tinyPlan();
-    // classify() ran inside tinyPlan(); mutating the stream afterwards
-    // leaves the cache stale — exactly the bug class this pass exists
-    // to catch.
-    plan.layers[0].instrs.push_back({HeOpKind::copy, 1, 1, -1, 0});
-    const auto report = runPass(makeOpCountPass(), plan);
-    EXPECT_GE(report.errorCount(), 1u) << report.toText();
-    EXPECT_TRUE(hasMessage(report, "cached count"));
-}
-
-TEST(OpCountPass, LazyCountsOnNeverClassifiedPlanAreConsistent)
-{
-    auto plan = tinyPlan();
-    hecnn::HeLayerPlan fresh;
-    fresh.name = plan.layers[0].name;
-    fresh.cls = plan.layers[0].cls;
-    fresh.levelIn = plan.layers[0].levelIn;
-    fresh.levelOut = plan.layers[0].levelOut;
-    fresh.nIn = plan.layers[0].nIn;
-    fresh.instrs = plan.layers[0].instrs;
-    fresh.outputLayout = plan.layers[0].outputLayout;
-    plan.layers[0] = std::move(fresh); // never classified
-    const auto report = runPass(makeOpCountPass(), plan);
-    EXPECT_EQ(report.errorCount(), 0u)
-        << "kindCount() must recount lazily instead of returning "
-           "zeros:\n"
-        << report.toText();
-}
-
-// --- pass 7: layer class ---------------------------------------------------
-
-TEST(LayerClassPass, FlagsWrongClassification)
-{
-    auto plan = tinyPlan();
-    plan.layers[0].cls = hecnn::LayerClass::ks; // stream has no KS op
-    const auto report = runPass(makeLayerClassPass(), plan);
-    EXPECT_EQ(report.errorCount(), 1u) << report.toText();
-    EXPECT_TRUE(hasMessage(report, "tagged KS"));
-}
-
-TEST(LayerClassPass, WarnsOnZeroInputCiphertexts)
+TEST(LayoutPass, WarnsOnZeroInputCiphertexts)
 {
     auto plan = tinyPlan();
     plan.layers[0].nIn = 0;
-    const auto report = runPass(makeLayerClassPass(), plan);
+    const auto report = runPass(makeLayoutPass(), plan);
+    EXPECT_EQ(report.errorCount(), 0u) << report.toText();
     EXPECT_EQ(report.warningCount(), 1u) << report.toText();
     EXPECT_TRUE(hasMessage(report, "zero input ciphertexts"));
 }
 
-// --- pass 10: batch layout -------------------------------------------------
+// --- pass 8: batch layout --------------------------------------------------
 
 // tinyPlan() with B=2 lanes is already stride-aligned: its only data
 // slot is 0 (lane 0 of virtual slot 0) and its plaintext is constant.

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <sstream>
+#include <string>
 
+#include "src/analysis/pass_manager.hpp"
 #include "src/analysis/verifier.hpp"
 #include "src/common/assert.hpp"
 #include "src/hecnn/compiler.hpp"
-#include "src/hecnn/plan_check.hpp"
+#include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/plan_io.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/robustness/fault_injection.hpp"
@@ -17,17 +21,6 @@ namespace {
 using fixtures::tinyPlan;
 using hecnn::HeOpKind;
 
-/** Restores the hook/load-verification globals on scope exit. */
-struct HookGuard
-{
-    ~HookGuard()
-    {
-        hecnn::setLoadVerification(false);
-        hecnn::setPlanVerifier(nullptr);
-        installPlanVerifier();
-    }
-};
-
 hecnn::HeNetworkPlan
 brokenButLoadablePlan()
 {
@@ -35,28 +28,103 @@ brokenButLoadablePlan()
     // error-severity verifier finding.
     auto plan = tinyPlan();
     plan.layers[0].instrs.push_back({HeOpKind::rotate, 1, 1, -1, 0});
-    plan.layers[0].classify();
     return plan;
 }
 
-TEST(Verifier, ModelZooPlansAreLintClean)
+/** One compile configuration of the compile check. */
+struct CompileCase
 {
-    {
-        const auto plan = hecnn::compile(nn::buildMnistNetwork(),
-                                         ckks::mnistParams());
-        const auto report = verifyPlan(plan);
-        EXPECT_EQ(report.errorCount(), 0u) << report.toText();
-        EXPECT_EQ(report.warningCount(), 0u) << report.toText();
+    const char *name;
+    const char *model; ///< "test", "mnist" or "cifar10"
+    hecnn::MatVecLowering matVec = hecnn::MatVecLowering::costModel;
+    bool decomposeRotations = false;
+    std::size_t lanes = 1;
+};
+
+/** Names the case in the test name (ctest shows the printed value). */
+void
+PrintTo(const CompileCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+hecnn::HeNetworkPlan
+compileCase(const CompileCase &c)
+{
+    hecnn::CompileOptions options;
+    options.matVec = c.matVec;
+    options.decomposeRotations = c.decomposeRotations;
+    options.batchLanes = c.lanes;
+    const std::string model = c.model;
+    if (model == "mnist")
+        return hecnn::compile(nn::buildMnistNetwork(),
+                              ckks::mnistParams(), options);
+    if (model == "cifar10") {
+        options.elideValues = true;
+        return hecnn::compile(nn::buildCifar10Network(),
+                              ckks::cifar10Params(), options);
     }
-    {
-        hecnn::CompileOptions opts;
-        opts.elideValues = true;
-        const auto plan = hecnn::compile(nn::buildCifar10Network(),
-                                         ckks::cifar10Params(), opts);
-        const auto report = verifyPlan(plan);
-        EXPECT_EQ(report.errorCount(), 0u) << report.toText();
-        EXPECT_EQ(report.warningCount(), 0u) << report.toText();
-    }
+    return hecnn::compile(nn::buildTestNetwork(),
+                          ckks::testParams(2048, 7, 30), options);
+}
+
+class CompileCheckTest : public ::testing::TestWithParam<CompileCase>
+{};
+
+/**
+ * compile() is pure lowering, so its output is checked here: every
+ * lowering the suites and the engine compile comes out of the standard
+ * pipeline (noise budget included) with no finding, and its noise
+ * certificate holds.
+ */
+TEST_P(CompileCheckTest, PlanIsLintCleanAndCertified)
+{
+    const auto plan = compileCase(GetParam());
+    const auto report = PassManager::standard().run(plan);
+    EXPECT_EQ(report.errorCount(), 0u) << report.toText();
+    EXPECT_EQ(report.warningCount(), 0u) << report.toText();
+    const auto cert = hecnn::certifyPlan(plan);
+    ASSERT_TRUE(cert.valid) << cert.invalidReason;
+    EXPECT_TRUE(cert.certified()) << cert.minHeadroomBits << " bits";
+}
+
+constexpr auto kLola = hecnn::MatVecLowering::lola;
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, CompileCheckTest,
+    ::testing::Values(
+        CompileCase{"test", "test"},
+        CompileCase{"test_lola", "test", kLola},
+        CompileCase{"test_decomposed", "test", {}, true},
+        CompileCase{"test_b2", "test", {}, false, 2},
+        CompileCase{"test_b4", "test", {}, false, 4},
+        CompileCase{"test_b16", "test", {}, false, 16},
+        CompileCase{"test_lola_b4", "test", kLola, false, 4},
+        CompileCase{"test_decomposed_b4", "test", {}, true, 4},
+        CompileCase{"mnist", "mnist"},
+        CompileCase{"mnist_lola", "mnist", kLola},
+        CompileCase{"mnist_decomposed", "mnist", {}, true},
+        CompileCase{"cifar10", "cifar10"},
+        CompileCase{"cifar10_lola", "cifar10", kLola},
+        CompileCase{"cifar10_decomposed", "cifar10", {}, true}));
+
+TEST(CompileCheck, RejectsAPlanMissingARescale)
+{
+    // The check above can fail: drop the first rescale of a compiled
+    // plan and both the pipeline and the certificate object.
+    auto plan = compileCase({"test", "test"});
+    auto &instrs = plan.layers[0].instrs;
+    const auto it = std::find_if(instrs.begin(), instrs.end(),
+                                 [](const hecnn::HeInstr &instr) {
+                                     return instr.kind ==
+                                            HeOpKind::rescale;
+                                 });
+    ASSERT_NE(it, instrs.end());
+    instrs.erase(it);
+    const auto report = PassManager::standard().run(plan);
+    EXPECT_GT(report.errorCount(), 0u);
+    const auto cert = hecnn::certifyPlan(plan);
+    EXPECT_FALSE(cert.valid && cert.certified());
 }
 
 TEST(Verifier, ReportIsIdenticalAcrossSaveLoadRoundTrip)
@@ -91,55 +159,19 @@ TEST(Verifier, VerifyPlanOrThrowRejectsBrokenPlans)
     }
 }
 
-TEST(Verifier, HookRunsInstalledVerifier)
-{
-    HookGuard guard;
-    installPlanVerifier();
-    EXPECT_TRUE(hecnn::planVerifierInstalled());
-    EXPECT_NO_THROW(hecnn::runPlanVerifier(tinyPlan(), "hook"));
-    EXPECT_THROW(hecnn::runPlanVerifier(brokenButLoadablePlan(),
-                                        "hook"),
-                 ConfigError);
-}
-
-TEST(Verifier, FirstInstallationWins)
-{
-    HookGuard guard;
-    installPlanVerifier();
-    // A second (different) verifier must not displace the pipeline.
-    const bool displaced = hecnn::setPlanVerifier(
-        [](const hecnn::HeNetworkPlan &, const std::string &) {
-            throw ConfigError("impostor");
-        });
-    EXPECT_FALSE(displaced);
-    EXPECT_NO_THROW(hecnn::runPlanVerifier(tinyPlan(), "hook"));
-}
-
-TEST(Verifier, CompilerSelfCheckAcceptsItsOwnOutput)
-{
-    HookGuard guard;
-    installPlanVerifier();
-    hecnn::CompileOptions opts;
-    opts.selfCheck = true;
-    EXPECT_NO_THROW(hecnn::compile(nn::buildTestNetwork(),
-                                   ckks::testParams(2048, 7, 30),
-                                   opts));
-}
-
 TEST(Verifier, LoadVerificationRejectsBrokenPlanOnLoad)
 {
-    HookGuard guard;
-    installPlanVerifier();
-    hecnn::setLoadVerification(true);
-
     std::stringstream good;
     hecnn::savePlan(tinyPlan(), good);
-    EXPECT_NO_THROW(hecnn::loadPlan(good));
+    EXPECT_NO_THROW(verifyPlanOrThrow(hecnn::loadPlan(good), "plan-load"));
 
+    // The broken stream passes every loadPlan framing check; only the
+    // verifier rejects it.
     std::stringstream bad;
     hecnn::savePlan(brokenButLoadablePlan(), bad);
+    const auto loaded = hecnn::loadPlan(bad);
     try {
-        hecnn::loadPlan(bad);
+        verifyPlanOrThrow(loaded, "plan-load");
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find("plan-load"),
@@ -147,23 +179,10 @@ TEST(Verifier, LoadVerificationRejectsBrokenPlanOnLoad)
     }
 }
 
-TEST(Verifier, LoadVerificationWithoutVerifierIsAConfigError)
-{
-    HookGuard guard;
-    hecnn::setPlanVerifier(nullptr); // simulate a core-only binary
-    hecnn::setLoadVerification(true);
-    std::stringstream ss;
-    hecnn::savePlan(tinyPlan(), ss);
-    EXPECT_THROW(hecnn::loadPlan(ss), ConfigError);
-}
-
 TEST(Verifier, TruncationFaultIsDetectedBeforeVerification)
 {
     if (!robustness::faultInjectCompiledIn())
         GTEST_SKIP() << "fault injection compiled out";
-    HookGuard guard;
-    installPlanVerifier();
-    hecnn::setLoadVerification(true);
     robustness::armFault(
         robustness::parseFaultSpec("plan.load:truncate"));
     std::stringstream ss;
@@ -176,9 +195,6 @@ TEST(Verifier, CorruptionFaultIsDetectedBeforeVerification)
 {
     if (!robustness::faultInjectCompiledIn())
         GTEST_SKIP() << "fault injection compiled out";
-    HookGuard guard;
-    installPlanVerifier();
-    hecnn::setLoadVerification(true);
     robustness::armFault(
         robustness::parseFaultSpec("plan.load:corrupt"));
     std::stringstream ss;

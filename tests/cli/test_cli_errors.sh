@@ -150,13 +150,33 @@ expect 6 "batch: shed-dominated run" batch --model test --requests 4 \
 # lint reports it as a diagnostic and exits 4 (not 3): the lint verdict
 # on an unreadable artifact is "broken", not "you typed it wrong".
 garbage="$(mktemp)"
+saved="$(mktemp)"
 printf 'this is not a serialized plan\n' > "$garbage"
-trap 'rm -f "$garbage"' EXIT
+trap 'rm -f "$garbage" "$saved"' EXIT
 
 expect 3 "lint: bad output format" lint --model mnist --format yaml
 expect 3 "lint: unknown flag" lint --model mnist --bogus 1
 expect 4 "lint: missing plan file" lint --load /nonexistent/plan.bin
 expect 4 "lint: corrupt plan file" lint --load "$garbage"
+
+# --verify-plan 1 verifies what `plan --load` reads: a compiled,
+# saved plan loads and verifies clean.
+expect 0 "plan: save the mnist plan" plan --model mnist --save "$saved"
+expect 0 "plan: load it back with --verify-plan 1" \
+    plan --load "$saved" --verify-plan 1
+
+# The pipeline the docs describe: exactly these passes, in this order.
+case_no=$((case_no + 1))
+want="def-use scale-level liveness rotation-keys slot-layout noise-budget rescale-placement batch-layout"
+out="$("$CLI" lint --list-passes 1 2>&1)"
+got=$?
+names="$(printf '%s\n' "$out" | cut -d: -f1 | tr '\n' ' ' | sed 's/ $//')"
+if [ "$got" -eq 0 ] && [ "$names" = "$want" ]; then
+    echo "ok   [$case_no] lint --list-passes prints the 8 passes in order (exit $got)"
+else
+    echo "FAIL [$case_no] lint --list-passes: expected exit 0 and '$want', got exit $got and '$names'"
+    failures=$((failures + 1))
+fi
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -187,6 +187,41 @@ TEST_F(BatchedInferenceTest, PartialFinalGroupStillServesCorrectly)
     EXPECT_DOUBLE_EQ(stats.meanBatchOccupancy, 3.0);
 }
 
+TEST_F(BatchedInferenceTest, OpsExecutedCountsEachGroupOnce)
+{
+    // Every member's outcome carries its whole group's op count; the
+    // engine total adds that count once per executed group.
+    constexpr std::uint64_t kSeed = 31;
+    EngineOptions opts;
+    opts.workers = 2;
+    opts.keySeed = kSeed;
+    {
+        const auto plan = batchedPlan(4);
+        const std::uint64_t perGroup = plan.totalCounts().total();
+        InferenceEngine engine(plan, ctx_, opts);
+        const auto outcomes = engine.runBatch(inputs(8, 500));
+        for (const auto &outcome : outcomes) {
+            ASSERT_FALSE(outcome.degraded());
+            EXPECT_EQ(outcome.opsExecuted, perGroup);
+        }
+        const auto stats = engine.stats();
+        EXPECT_EQ(stats.batchesExecuted, 2u);
+        EXPECT_EQ(stats.opsExecuted, stats.batchesExecuted * perGroup);
+    }
+    {
+        // B = 1 serves every request as a group of one, which is not
+        // counted as a batch: the total is one plan's ops per request.
+        const std::uint64_t perGroup = serialPlan_.totalCounts().total();
+        InferenceEngine engine(serialPlan_, ctx_, opts);
+        const auto outcomes = engine.runBatch(inputs(3, 520));
+        for (const auto &outcome : outcomes)
+            ASSERT_FALSE(outcome.degraded());
+        const auto stats = engine.stats();
+        EXPECT_EQ(stats.batchesExecuted, 0u);
+        EXPECT_EQ(stats.opsExecuted, outcomes.size() * perGroup);
+    }
+}
+
 TEST_F(BatchedInferenceTest, InvalidMemberDoesNotCorruptSiblings)
 {
     // Member 1 is malformed: it must degrade alone with its lane

@@ -53,7 +53,7 @@ TEST(BufferModel, Cnv1LayerDemandHandComputed)
     for (auto &op : alloc.ops)
         op = {2, 1, 1};
     const auto perf =
-        evaluateLayer(plan.layers[0], plan.params.n, alloc);
+        evaluateLayer(summarizeLayer(plan.layers[0]), plan.params.n, alloc);
     EXPECT_DOUBLE_EQ(perf.bramBlocks, 224.0);
 }
 
@@ -66,7 +66,7 @@ TEST(BufferModel, KsLayerAddsExtensionBuffers)
     for (auto &op : alloc.ops)
         op = {2, 1, 1};
     const auto perf =
-        evaluateLayer(plan.layers[2], plan.params.n, alloc);
+        evaluateLayer(summarizeLayer(plan.layers[2]), plan.params.n, alloc);
     EXPECT_EQ(plan.layers[2].levelIn, 5u);
     EXPECT_DOUBLE_EQ(perf.bramBlocks, 304.0);
 }
@@ -79,7 +79,7 @@ TEST(BufferModel, Eq9InterScalingIsLinearForKs)
     lola.matVec = hecnn::MatVecLowering::lola;
     const auto plan = hecnn::compile(nn::buildMnistNetwork(),
                                      ckks::mnistParams(), lola);
-    const auto &fc1 = plan.layers[2]; // 276 KS ops: inter is effective
+    const auto fc1 = summarizeLayer(plan.layers[2]); // 276 KS ops
     ModuleAllocation one, two;
     for (auto &op : one.ops)
         op = {2, 1, 1};
@@ -105,7 +105,7 @@ TEST(BufferModel, NcEightDoublesNttPartitionedBuffers)
         op = {4, 1, 1};
     for (auto &op : nc8.ops)
         op = {8, 1, 1};
-    for (const auto &layer : plan.layers) {
+    for (const auto &layer : summarizeLayers(plan)) {
         const double b4 =
             evaluateLayer(layer, plan.params.n, nc4).bramBlocks;
         const double b8 =

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/fpga/layer_model.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/nn/model_zoo.hpp"
@@ -21,31 +23,54 @@ class LayerModelTest : public ::testing::Test
   protected:
     LayerModelTest()
         : plan_(hecnn::compile(nn::buildMnistNetwork(),
-                               ckks::mnistParams(), lolaOptions()))
+                               ckks::mnistParams(), lolaOptions())),
+          work_(summarizeLayers(plan_))
     {
         for (auto &op : base_.ops)
             op = {2, 1, 1};
     }
 
     hecnn::HeNetworkPlan plan_;
+    std::vector<LayerWork> work_;
     ModuleAllocation base_;
 };
 
 TEST_F(LayerModelTest, OpCountsMatchPlanCounts)
 {
-    for (const auto &layer : plan_.layers) {
-        const auto c = layer.counts();
+    ASSERT_EQ(work_.size(), plan_.layers.size());
+    for (std::size_t i = 0; i < work_.size(); ++i) {
+        const auto &layer = work_[i];
+        const auto c = plan_.layers[i].counts();
+        EXPECT_EQ(layer.name, plan_.layers[i].name);
+        EXPECT_EQ(layer.levelIn, plan_.layers[i].levelIn);
+        EXPECT_EQ(layer.nIn, plan_.layers[i].nIn);
         EXPECT_EQ(opCount(layer, HeOpModule::pcMult), c.pcMult);
         EXPECT_EQ(opCount(layer, HeOpModule::ccAdd), c.ccAdd);
+        EXPECT_EQ(opCount(layer, HeOpModule::ccMult), c.ccMult);
         EXPECT_EQ(opCount(layer, HeOpModule::rescale), c.rescale);
         EXPECT_EQ(opCount(layer, HeOpModule::keySwitch), c.keySwitch());
+        // Every used module appears once in the stage order.
+        const auto used = modulesUsed(layer);
+        EXPECT_EQ(layer.order.size(),
+                  std::size_t(std::count(used.begin(), used.end(), true)))
+            << layer.name;
     }
+}
+
+TEST_F(LayerModelTest, StageOrderIsFirstUseInProgram)
+{
+    // Act1 is CCmult -> Relinearize -> Rescale per ciphertext.
+    const auto &act = work_[1];
+    ASSERT_EQ(act.order.size(), 3u) << act.name;
+    EXPECT_EQ(act.order[0], HeOpModule::ccMult);
+    EXPECT_EQ(act.order[1], HeOpModule::keySwitch);
+    EXPECT_EQ(act.order[2], HeOpModule::rescale);
 }
 
 TEST_F(LayerModelTest, MoreParallelismNeverSlower)
 {
     // Latency must be monotone non-increasing in every knob.
-    for (const auto &layer : plan_.layers) {
+    for (const auto &layer : work_) {
         const double base_cycles =
             evaluateLayer(layer, plan_.params.n, base_).cycles;
         for (auto op : {HeOpModule::rescale, HeOpModule::keySwitch}) {
@@ -70,7 +95,7 @@ TEST_F(LayerModelTest, MoreParallelismNeverSlower)
 
 TEST_F(LayerModelTest, ResourcesMonotoneInParallelism)
 {
-    for (const auto &layer : plan_.layers) {
+    for (const auto &layer : work_) {
         const auto base_perf = evaluateLayer(layer, plan_.params.n,
                                              base_);
         ModuleAllocation more = base_;
@@ -88,15 +113,15 @@ TEST_F(LayerModelTest, Cnv1IsRescaleBoundNks)
     // The conv layer has no KeySwitch; its pipeline bottleneck is the
     // Rescale module (Fig. 2's unbalanced coarse stage).
     const auto perf =
-        evaluateLayer(plan_.layers[0], plan_.params.n, base_);
+        evaluateLayer(work_[0], plan_.params.n, base_);
     EXPECT_EQ(perf.bottleneck, HeOpModule::rescale);
-    EXPECT_EQ(plan_.layers[0].cls, hecnn::LayerClass::nks);
+    EXPECT_EQ(plan_.layers[0].cls(), hecnn::LayerClass::nks);
 }
 
 TEST_F(LayerModelTest, FcLayersAreKeySwitchBound)
 {
     const auto fc1 =
-        evaluateLayer(plan_.layers[2], plan_.params.n, base_);
+        evaluateLayer(work_[2], plan_.params.n, base_);
     EXPECT_EQ(fc1.bottleneck, HeOpModule::keySwitch);
 }
 
@@ -104,8 +129,8 @@ TEST_F(LayerModelTest, OffChipDegradesFcMoreThanConv)
 {
     // Table III: Fc1 degrades ~140X, Cnv1 ~16X when buffers move to
     // DRAM.
-    const auto &cnv = plan_.layers[0];
-    const auto &fc = plan_.layers[2];
+    const auto &cnv = work_[0];
+    const auto &fc = work_[2];
     const double cnv_ratio =
         evaluateLayer(cnv, plan_.params.n, base_, 0.0).cycles /
         evaluateLayer(cnv, plan_.params.n, base_).cycles;
@@ -119,7 +144,7 @@ TEST_F(LayerModelTest, OffChipDegradesFcMoreThanConv)
 
 TEST_F(LayerModelTest, PartialSpillInterpolates)
 {
-    const auto &fc = plan_.layers[2];
+    const auto &fc = work_[2];
     const auto full = evaluateLayer(fc, plan_.params.n, base_);
     const auto half = evaluateLayer(fc, plan_.params.n, base_,
                                     full.bramBlocks / 2.0);
@@ -133,7 +158,7 @@ TEST_F(LayerModelTest, SharedVsDedicatedAccounting)
 {
     // Shared evaluation: physical BRAM = max over layers, aggregate =
     // sum; dedicated: physical = aggregate.
-    const auto shared = evaluateNetworkShared(plan_, base_);
+    const auto shared = evaluateNetworkShared(work_, plan_.params.n, base_);
     double max_bram = 0.0, sum_bram = 0.0;
     for (const auto &lp : shared.layers) {
         max_bram = std::max(max_bram, lp.bramBlocks);
@@ -144,7 +169,8 @@ TEST_F(LayerModelTest, SharedVsDedicatedAccounting)
     EXPECT_GT(shared.bramAggregate, shared.bramPhysical);
 
     std::vector<ModuleAllocation> dedicated(plan_.layers.size(), base_);
-    const auto ded = evaluateNetworkDedicated(plan_, dedicated);
+    const auto ded = evaluateNetworkDedicated(work_, plan_.params.n,
+                                              dedicated);
     EXPECT_DOUBLE_EQ(ded.bramPhysical, ded.bramAggregate);
     EXPECT_GE(ded.dspPhysical, shared.dspPhysical)
         << "module reuse must not increase physical DSP";
@@ -153,8 +179,8 @@ TEST_F(LayerModelTest, SharedVsDedicatedAccounting)
 TEST_F(LayerModelTest, HeMacRatioMatchesTableIV)
 {
     // Table IV: HE-MACs(Fc1) / HE-MACs(Cnv1) ~ 12.95X (vs 4X plain).
-    const double cnv = layerModMuls(plan_.layers[0], plan_.params.n);
-    const double fc = layerModMuls(plan_.layers[2], plan_.params.n);
+    const double cnv = layerModMuls(work_[0], plan_.params.n);
+    const double fc = layerModMuls(work_[2], plan_.params.n);
     EXPECT_GT(fc / cnv, 5.0);
     EXPECT_LT(fc / cnv, 40.0);
     // And the absolute blow-up versus plain MACs is >= 3 orders.
@@ -168,7 +194,7 @@ TEST_F(LayerModelTest, AggregateDspCanExceedPhysical)
     // sums past the instantiated slices.
     ModuleAllocation alloc = base_;
     alloc[HeOpModule::keySwitch].pInter = 2;
-    const auto perf = evaluateNetworkShared(plan_, alloc);
+    const auto perf = evaluateNetworkShared(work_, plan_.params.n, alloc);
     EXPECT_GT(perf.dspAggregate, perf.dspPhysical);
 }
 

@@ -74,7 +74,7 @@ TEST_P(SimVsModelTest, SimulatorAgreesWithClosedFormPerLayer)
     alloc[HeOpModule::keySwitch].pInter = inter;
     alloc[HeOpModule::rescale].pIntra = 2;
 
-    for (const auto &layer : plan.layers) {
+    for (const auto &layer : summarizeLayers(plan)) {
         const double sim = simulateLayer(layer, plan.params.n, alloc);
         const double model =
             evaluateLayer(layer, plan.params.n, alloc).cycles;
@@ -95,7 +95,7 @@ TEST(PipelineSim, FineGrainedPipelineBeatsSerial)
     ModuleAllocation alloc;
     for (auto &op : alloc.ops)
         op = {2, 1, 1};
-    const auto &cnv = plan.layers[0];
+    const auto cnv = summarizeLayer(plan.layers[0]);
     const auto stages = layerStages(cnv, plan.params.n, alloc);
     const double pipelined = simulatePipeline(cnv.nIn, stages);
     const double serial = simulateSerial(cnv.nIn, stages);

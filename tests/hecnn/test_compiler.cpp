@@ -16,11 +16,11 @@ TEST(Compiler, MnistPlanHasFiveLayersWithPaperClasses)
     const auto plan = compile(net, ckks::mnistParams());
     ASSERT_EQ(plan.layers.size(), 5u);
     // Table II: Cnv1 is the only NKS layer; Act/Fc are KS.
-    EXPECT_EQ(plan.layers[0].cls, LayerClass::nks);
-    EXPECT_EQ(plan.layers[1].cls, LayerClass::ks);
-    EXPECT_EQ(plan.layers[2].cls, LayerClass::ks);
-    EXPECT_EQ(plan.layers[3].cls, LayerClass::ks);
-    EXPECT_EQ(plan.layers[4].cls, LayerClass::ks);
+    EXPECT_EQ(plan.layers[0].cls(), LayerClass::nks);
+    EXPECT_EQ(plan.layers[1].cls(), LayerClass::ks);
+    EXPECT_EQ(plan.layers[2].cls(), LayerClass::ks);
+    EXPECT_EQ(plan.layers[3].cls(), LayerClass::ks);
+    EXPECT_EQ(plan.layers[4].cls(), LayerClass::ks);
 }
 
 TEST(Compiler, MnistCnv1MatchesTableIVHopCount)

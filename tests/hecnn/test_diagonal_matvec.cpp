@@ -277,8 +277,8 @@ TEST(DiagonalMatVec, GaloisKeySetIsNoLargerThanLola)
 
 TEST(DiagonalMatVec, PredictedDecompositionsEqualExecuted)
 {
-    // The lint OpCountPass tiles rotates into hoisted groups with
-    // findRotationGroups; one decomposition per group (and per
+    // countHoistedDecompositions tiles rotates into the hoisted groups
+    // of findRotationGroups; one decomposition per group (and per
     // relinearize) is what the runtime must report. MNIST's Fc1 baby
     // steps form a real hoisted group, so the two counts differ from
     // the plain rotate count.

@@ -82,7 +82,6 @@ rotationGroupPlan()
     for (std::int32_t s = 0; s < 4; ++s)
         layer.outputLayout.pos.emplace_back(1, s);
     layer.outputLayout.regs.push_back(1);
-    layer.classify();
     plan.layers.push_back(std::move(layer));
     plan.outputLayout = plan.layers.back().outputLayout;
     return plan;
@@ -148,8 +147,8 @@ TEST(HoistDifferential, HoistedGroupPlanMatchesSerialExecutionBitwise)
 
 TEST(HoistDifferential, DecompositionTelemetryMatchesLintModel)
 {
-    // The lint OpCountPass predicts keyswitch decompositions with
-    // countHoistedDecompositions; the runtime must report exactly that
+    // countHoistedDecompositions predicts keyswitch decompositions from
+    // the executor's rotation groups; the runtime must report exactly that
     // via "ckks.keyswitch.decompositions" when hoisting is on — the
     // group-of-k-rotations = 1-decomposition contract.
     if (!telemetry::compiledIn())

@@ -28,7 +28,7 @@ TEST(PlanIo, RoundTripPreservesStructureAndPayloads)
     ASSERT_EQ(loaded.layers.size(), plan.layers.size());
     for (std::size_t i = 0; i < plan.layers.size(); ++i) {
         EXPECT_EQ(loaded.layers[i].name, plan.layers[i].name);
-        EXPECT_EQ(loaded.layers[i].cls, plan.layers[i].cls);
+        EXPECT_EQ(loaded.layers[i].cls(), plan.layers[i].cls());
         EXPECT_EQ(loaded.layers[i].instrs.size(),
                   plan.layers[i].instrs.size());
         EXPECT_EQ(loaded.layers[i].counts().total(),

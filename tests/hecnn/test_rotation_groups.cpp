@@ -2,14 +2,16 @@
  * @file
  * Unit tests for rotation-group detection: maximal same-source rotate
  * runs, group termination when a member clobbers the shared source,
- * and the hoisted decomposition count the lint pass cross-checks
- * against runtime telemetry.
+ * the hoisted decomposition count the telemetry tests check against
+ * the runtime, and the tiling of every zoo layer's rotates by groups.
  */
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/hecnn/compiler.hpp"
 #include "src/hecnn/rotation_groups.hpp"
+#include "src/nn/model_zoo.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
@@ -128,6 +130,43 @@ TEST(RotationGroups, GroupsPartitionExactlyTheRotateInstructions)
     for (const auto &in : instrs)
         rotates += in.kind == HeOpKind::rotate ? 1 : 0;
     EXPECT_EQ(covered, rotates);
+}
+
+TEST(RotationGroups, GroupsTileTheRotatesOfEveryZooLayer)
+{
+    // The executor hoists exactly these groups, so on every compiled
+    // layer they must be disjoint runs of rotates that cover all of
+    // the layer's rotates.
+    CompileOptions lola;
+    lola.matVec = MatVecLowering::lola;
+    CompileOptions decomposed;
+    decomposed.decomposeRotations = true;
+    CompileOptions elided;
+    elided.elideValues = true;
+    const std::vector<HeNetworkPlan> plans{
+        compile(nn::buildTestNetwork(), ckks::testParams(2048, 7, 30)),
+        compile(nn::buildMnistNetwork(), ckks::mnistParams()),
+        compile(nn::buildMnistNetwork(), ckks::mnistParams(), lola),
+        compile(nn::buildMnistNetwork(), ckks::mnistParams(), decomposed),
+        compile(nn::buildCifar10Network(), ckks::cifar10Params(), elided)};
+    for (const auto &plan : plans) {
+        for (const auto &layer : plan.layers) {
+            std::size_t covered = 0;
+            std::size_t next = 0; // groups are disjoint and in order
+            for (const auto &g : findRotationGroups(layer.instrs)) {
+                EXPECT_GE(g.begin, next) << layer.name;
+                ASSERT_LE(g.begin + g.count, layer.instrs.size());
+                for (std::size_t i = 0; i < g.count; ++i)
+                    EXPECT_EQ(layer.instrs[g.begin + i].kind,
+                              HeOpKind::rotate)
+                        << plan.name << " " << layer.name;
+                next = g.begin + g.count;
+                covered += g.count;
+            }
+            EXPECT_EQ(covered, layer.counts().rotate)
+                << plan.name << " " << layer.name;
+        }
+    }
 }
 
 } // namespace

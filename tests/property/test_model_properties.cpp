@@ -39,9 +39,11 @@ class ModelGridTest
   protected:
     ModelGridTest()
         : plan_(hecnn::compile(nn::buildMnistNetwork(),
-                               ckks::mnistParams()))
+                               ckks::mnistParams())),
+          work_(fpga::summarizeLayers(plan_))
     {}
     hecnn::HeNetworkPlan plan_;
+    std::vector<fpga::LayerWork> work_;
 };
 
 TEST_P(ModelGridTest, LatencyMonotoneInIntraAcrossGrid)
@@ -51,7 +53,7 @@ TEST_P(ModelGridTest, LatencyMonotoneInIntraAcrossGrid)
     for (unsigned intra = 1; intra <= 7; ++intra) {
         const auto alloc = makeAlloc(nc, 1, intra, ks_inter);
         const auto perf =
-            fpga::evaluateNetworkShared(plan_, alloc);
+            fpga::evaluateNetworkShared(work_, plan_.params.n, alloc);
         if (prev >= 0.0) {
             EXPECT_LE(perf.totalCycles, prev * 1.0000001)
                 << "nc=" << nc << " intra=" << intra;
@@ -67,7 +69,7 @@ TEST_P(ModelGridTest, BramMonotoneInIntraAcrossGrid)
     for (unsigned intra = 1; intra <= 7; ++intra) {
         const auto alloc = makeAlloc(nc, 1, intra, ks_inter);
         const auto perf =
-            fpga::evaluateNetworkShared(plan_, alloc);
+            fpga::evaluateNetworkShared(work_, plan_.params.n, alloc);
         if (prev >= 0.0) {
             EXPECT_GE(perf.bramPhysical, prev)
                 << "nc=" << nc << " intra=" << intra;
@@ -80,7 +82,7 @@ TEST_P(ModelGridTest, SimulatorWithinToleranceAcrossGrid)
 {
     const auto [nc, ks_inter] = GetParam();
     const auto alloc = makeAlloc(nc, 2, 3, ks_inter);
-    for (const auto &layer : plan_.layers) {
+    for (const auto &layer : work_) {
         const double sim =
             fpga::simulateLayer(layer, plan_.params.n, alloc);
         const double model =
@@ -161,10 +163,12 @@ TEST(DseProperty, SharedNeverUsesMoreDspThanDedicated)
     const auto plan =
         hecnn::compile(nn::buildMnistNetwork(), ckks::mnistParams());
     const auto alloc = makeAlloc(2, 2, 2, 2);
-    const auto shared = fpga::evaluateNetworkShared(plan, alloc);
+    const auto work = fpga::summarizeLayers(plan);
+    const auto shared =
+        fpga::evaluateNetworkShared(work, plan.params.n, alloc);
     std::vector<ModuleAllocation> per_layer(plan.layers.size(), alloc);
     const auto dedicated =
-        fpga::evaluateNetworkDedicated(plan, per_layer);
+        fpga::evaluateNetworkDedicated(work, plan.params.n, per_layer);
     EXPECT_LE(shared.dspPhysical, dedicated.dspPhysical);
     EXPECT_LE(shared.bramPhysical, dedicated.bramPhysical);
     // Same per-layer latency either way (identical allocations).

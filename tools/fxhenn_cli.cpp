@@ -59,7 +59,6 @@
 #include "src/common/crc32.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/noise_cert.hpp"
-#include "src/hecnn/plan_check.hpp"
 #include "src/hecnn/plan_io.hpp"
 #include "src/hecnn/rescale_rewriter.hpp"
 #include "src/hecnn/plan_printer.hpp"
@@ -301,6 +300,20 @@ cmdInfo(const Args &args)
     return 0;
 }
 
+/**
+ * Load a plan from @p in; with --verify-plan 1, run the standard
+ * verifier over it too (ConfigError naming "plan-load" on findings).
+ */
+hecnn::HeNetworkPlan
+loadPlanFlagged(const Args &args, std::istream &in)
+{
+    hecnn::HeNetworkPlan plan = hecnn::loadPlan(in);
+    const std::string verify = args.get("verify-plan", "");
+    if (verify == "1" || verify == "true")
+        analysis::verifyPlanOrThrow(plan, "plan-load");
+    return plan;
+}
+
 int
 cmdPlan(const Args &args)
 {
@@ -309,7 +322,7 @@ cmdPlan(const Args &args)
     if (!load.empty()) {
         std::ifstream in(load, std::ios::binary);
         FXHENN_FATAL_IF(!in, "cannot open plan file " + load);
-        plan = hecnn::loadPlan(in);
+        plan = loadPlanFlagged(args, in);
     } else {
         auto model = pickModel(args.get("model", "mnist"));
         hecnn::CompileOptions opts;
@@ -469,7 +482,7 @@ cmdLint(const Args &args)
                 artifact_crc = crc32(bytes.data(), bytes.size());
                 has_artifact = true;
                 std::istringstream is(std::move(bytes));
-                plan = hecnn::loadPlan(is);
+                plan = loadPlanFlagged(args, is);
             } catch (const std::exception &e) {
                 report.addNetwork(
                     analysis::Severity::error, "plan-load",
@@ -482,10 +495,6 @@ cmdLint(const Args &args)
         auto model = pickModel(args.get("model", "mnist"));
         hecnn::CompileOptions copts;
         copts.elideValues = model.elide;
-        // Lint renders the full report itself; the compiler
-        // self-check would turn findings into a bare ConfigError.
-        copts.selfCheck = false;
-        copts.certifyNoise = false;
         plan = hecnn::compile(model.net, model.params, copts);
     }
 
@@ -752,10 +761,7 @@ cmdBatch(const Args &args)
               << " plaintexts, "
               << double(engine.plaintextPool().bytes()) / (1 << 20)
               << " MiB shared\n";
-    std::uint64_t dispatched = 0;
-    for (const auto &outcome : outcomes)
-        dispatched += outcome.opsExecuted;
-    std::cout << "  HE ops      " << dispatched << " dispatched\n";
+    std::cout << "  HE ops      " << stats.opsExecuted << " executed\n";
     if (2 * shed > requests) {
         for (const auto &outcome : outcomes) {
             if (outcome.failure &&
@@ -850,13 +856,6 @@ main(int argc, char **argv)
         // FXHENN_SIMD value is a ConfigError (exit 3) before any work
         // runs, not a surprise deep inside the first kernel call.
         simd::activeLevel();
-        // The CLI always links the analysis library, so the compiler's
-        // debug-mode self-check and --verify-plan loads have a
-        // verifier to call.
-        analysis::installPlanVerifier();
-        const std::string verifyPlanFlag = args.get("verify-plan", "");
-        if (verifyPlanFlag == "1" || verifyPlanFlag == "true")
-            hecnn::setLoadVerification(true);
         const std::string faultSpec = args.get("fault", "");
         if (!faultSpec.empty())
             robustness::armFault(
